@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .dsl import evaluate, parse_expr, parse_quantum, split_top_level
 from .graphs import LabeledGraph, from_edges
-from .models import from_graph
+from .models import APPROX_TOL, from_graph
 from .nesting import nested_spectral, stationary_profile
 from .profiles import (
     QuantumGraph,
@@ -27,7 +27,6 @@ from .profiles import (
 )
 from .spectral import model_spectrum, product_limit_density
 
-APPROX_TOL = 1e-9
 TABLES = ("exoo4", "headline", "appendix5")
 
 # ratio that maximizes p*q^4 + p^4*q over p + q = 1, as its float literal

@@ -145,7 +145,7 @@ def _run_profile(args) -> dict:
             table = iso_table(args.t)
             values = tuple(lab.values[e.rep_mask] for e in table.entries)
         else:
-            values = model_spectrum(model, args.t).type_values()
+            values = model_spectrum(model, args.t, **kw).type_values()
     return _profile_payload(f"profile:{args.flavor}", args.t, names, values, args)
 
 
@@ -162,7 +162,7 @@ def _run_nested_profile(args) -> dict:
     base = evaluate(parse_expr(args.expr), approx=args.approx)
     if not isinstance(base, LabeledGraph):
         raise ValueError("nested profiles need a loopless graph construction")
-    q = stationary_profile(base, args.t)
+    q = stationary_profile(base, args.t, **_budget_kwargs(args))
     names = iso_table(args.t).type_names()
     return _profile_payload("nested-profile", args.t, names, q.profile.values, args)
 
@@ -171,17 +171,18 @@ def _run_limit(args) -> dict:
     if not args.factors and not args.nested:
         raise ValueError("limit needs --factors, --nested, or both")
     Q = parse_quantum(args.quantum, args.t)
+    kw = _budget_kwargs(args)
     spectra = []
     if args.factors:
         for text in split_top_level(args.factors):
             source = evaluate(parse_expr(text), approx=args.approx)
             model = source if isinstance(source, StepModel) else from_graph(source)
-            spectra.append(model_spectrum(model, args.t))
+            spectra.append(model_spectrum(model, args.t, **kw))
     if args.nested:
         base = evaluate(parse_expr(args.nested), approx=args.approx)
         if not isinstance(base, LabeledGraph):
             raise ValueError("the nested factor must be a loopless graph")
-        spectra.append(nested_spectral(base, args.t))
+        spectra.append(nested_spectral(base, args.t, **kw))
     value = product_limit_density(Q, *spectra)
     return _profile_payload("limit", args.t, (Q.describe(),), (value,), args)
 

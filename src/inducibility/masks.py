@@ -6,8 +6,8 @@ bit k of the mask is pair number k.  This slot order is part of the
 serialization contract and every module indexes labeled graphs this way.
 
 The module also precomputes, per vertex partition, the tables driving the
-composition calculus: which labeled graphs have uniform adjacency between
-parts, and what quotient graph they induce.
+composition calculus: which t-vertex slots lie within each part, and which
+ones each slot of the quotient graph on the parts expands to.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ def permutation_masks(t: int) -> dict[tuple[int, ...], tuple[int, ...]]:
             table.append(out)
         tables[sigma] = tuple(table)
     return tables
-
-
-def permute_mask(t: int, mask: int, sigma: tuple[int, ...]) -> int:
-    return permutation_masks(t)[sigma][mask]
 
 
 def permute_bits(bits: int, sigma: tuple[int, ...]) -> int:
@@ -149,25 +145,21 @@ def set_partitions(t: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 class PartitionTable:
     """One vertex partition with its composition tables.
 
-    admissible[mask] says whether adjacency between every two parts is
-    uniform in mask; quotient[mask] is then the induced graph on the parts
-    (parts ordered by smallest element).  part_slot_masks and
-    cross_slot_masks invert the quotient map: they say which t-vertex slots
-    each part, or each quotient slot, expands to.
+    part_slot_masks[p] holds the t-vertex slots inside part p, and
+    cross_slot_masks[q] the slots that quotient slot q expands to, the
+    quotient graph having the parts as vertices (ordered by smallest
+    element); within_mask is the union of the part slot masks.
     """
 
     parts: tuple[tuple[int, ...], ...]
     size: int
     within_mask: int
-    admissible: tuple[bool, ...]
-    quotient: tuple[int, ...]
     part_slot_masks: tuple[int, ...]
     cross_slot_masks: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def partition_tables(t: int) -> tuple[PartitionTable, ...]:
-    m = slot_count(t)
     out = []
     for parts in set_partitions(t):
         ell = len(parts)
@@ -187,27 +179,11 @@ def partition_tables(t: int) -> tuple[PartitionTable, ...]:
             else:
                 a, b = (p, q) if p < q else (q, p)
                 cross_masks[qslot[(a, b)]] |= 1 << k
-        admissible = []
-        quotient = []
-        for mask in range(1 << m):
-            qmask = 0
-            ok = True
-            for s2, cmask in enumerate(cross_masks):
-                bits = mask & cmask
-                if bits == cmask:
-                    qmask |= 1 << s2
-                elif bits:
-                    ok = False
-                    break
-            admissible.append(ok)
-            quotient.append(qmask if ok else 0)
         out.append(
             PartitionTable(
                 parts=parts,
                 size=ell,
                 within_mask=within,
-                admissible=tuple(admissible),
-                quotient=tuple(quotient),
                 part_slot_masks=tuple(part_masks),
                 cross_slot_masks=tuple(cross_masks),
             )

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .graphs import LabeledGraph
 
-_APPROX_TOL = 1e-9
+APPROX_TOL = 1e-9  # float comparisons of approximate models, profiles and table rows
 
 
 def _coerce(x, exact: bool):
@@ -56,7 +56,7 @@ class StepModel:
         if self.exact:
             if total != 1:
                 raise ValueError("masses must sum to one")
-        elif abs(total - 1.0) > _APPROX_TOL:
+        elif abs(total - 1.0) > APPROX_TOL:
             raise ValueError("masses must sum to one")
         for i in range(k):
             for j in range(k):

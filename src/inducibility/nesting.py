@@ -11,21 +11,23 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import masks
 from .graphs import LabeledGraph, graph6_encode
 from .linalg import solve_rational_kernel
 from .models import from_graph
 from .profiles import (
+    DEFAULT_SUBSET_BUDGET,
     LabeledProfile,
     ProfileVector,
+    check_subset_budget,
+    divide,
     iso_table,
-    labeled_induced_values,
     labeled_repetitive_profile,
+    ordered_counts,
+    partition_lift,
 )
 from .spectral import SpectralProfile, fourier
 
@@ -34,9 +36,10 @@ class DegenerateStationaryError(RuntimeError):
     """The fixed-point space of the nesting map is not one dimensional."""
 
 
-@lru_cache(maxsize=None)
-def _outer_densities(G: LabeledGraph, ell: int) -> tuple:
-    return labeled_induced_values(G, ell)
+def _outer_counts(G: LabeledGraph, t: int) -> dict:
+    if not G.is_loopless:
+        raise ValueError("composition is defined over loopless outer graphs")
+    return ordered_counts(G, t)
 
 
 def compose_profile(G: LabeledGraph, inner: LabeledProfile) -> LabeledProfile:
@@ -44,42 +47,17 @@ def compose_profile(G: LabeledGraph, inner: LabeledProfile) -> LabeledProfile:
     labeled profile `inner`.
 
     Sampled vertices sharing an outer coordinate form the parts of a
-    partition; cross-part adjacency must be uniform per part pair and
-    follow an induced pattern of G, while within-part adjacency marginalizes
-    the inner profile.
+    partition; cross-part adjacency follows an ordered pattern of distinct
+    vertices of G, while within-part adjacency marginalizes the inner
+    profile.
     """
-    if not G.is_loopless:
-        raise ValueError("composition is defined over loopless outer graphs")
     if inner.flavor != "r":
         raise ValueError("inner profile must be repetitive")
     t = inner.t
-    s = G.n
-    m = masks.slot_count(t)
-    zero = inner.values[0] * 0
-    out = [zero] * (1 << m)
-    st = s ** t
-    for pt in masks.partition_tables(t):
-        ell = pt.size
-        falling = math.perm(s, ell)
-        if falling == 0:
-            continue
-        coef = Fraction(falling, st)
-        outer = _outer_densities(G, ell)
-        within = pt.within_mask
-        marg: dict = {}
-        for mask, value in enumerate(inner.values):
-            key = mask & within
-            marg[key] = marg.get(key, zero) + value
-        adm = pt.admissible
-        quo = pt.quotient
-        for mask in range(1 << m):
-            if not adm[mask]:
-                continue
-            outer_prob = outer[quo[mask]]
-            if outer_prob == 0:
-                continue
-            out[mask] += coef * outer_prob * marg[mask & within]
-    return LabeledProfile(t=t, flavor="r", values=tuple(out), exact=inner.exact)
+    weights = {mask: v for mask, v in enumerate(inner.values) if v}
+    nums = partition_lift(t, _outer_counts(G, t), weights)
+    values = divide(nums, G.n ** t, inner.exact)
+    return LabeledProfile(t=t, flavor="r", values=values, exact=inner.exact)
 
 
 def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
@@ -117,26 +95,24 @@ class TransitionMatrix:
         return self.rows[i][j]
 
 
-def _spread(t: int, type_index: int) -> LabeledProfile:
-    table = iso_table(t)
-    e = table.entries[type_index]
-    vals = [Fraction(0)] * (1 << masks.slot_count(t))
-    share = Fraction(1, e.orbit_size)
-    for mask in e.orbit:
-        vals[mask] = share
-    return LabeledProfile(t=t, flavor="r", values=tuple(vals), exact=True)
-
-
 @lru_cache(maxsize=None)
 def transition_matrix(G: LabeledGraph, t: int) -> TransitionMatrix:
     """Matrix F with F[i][j] = density of type i after composing G over a
-    limit concentrated on type j."""
+    limit concentrated on type j.
+
+    Column j lifts the 0/1 indicator of orbit j, so its numerators are
+    integers; the labeled density of a type-i mask is divided once by
+    n^t * |orbit j| and scaled by |orbit i|.
+    """
     table = iso_table(t)
+    ordered = _outer_counts(G, t)
+    total = G.n ** t
     size = len(table.entries)
     cols = []
-    for j in range(size):
-        composed = compose_profile(G, _spread(t, j))
-        cols.append(composed.to_unlabeled().values)
+    for e in table.entries:
+        nums = partition_lift(t, ordered, dict.fromkeys(e.orbit, 1))
+        den = total * e.orbit_size
+        cols.append([Fraction(nums[f.rep_mask] * f.orbit_size, den) for f in table.entries])
     rows = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
     return TransitionMatrix(t=t, base=graph6_encode(G), rows=rows)
 
@@ -157,12 +133,14 @@ class NestedProfile:
         return self.profile.entry(key)
 
 
-def stationary_profile(G: LabeledGraph, t: int) -> NestedProfile:
+def stationary_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> NestedProfile:
     """Unique fixed point of the nesting map of G in the simplex.
 
-    Raises DegenerateStationaryError when the fixed-point space does not
-    pin down a single distribution.
+    The budget bounds the ell-subsets of G, ell <= t, that the transition
+    matrix enumerates.  Raises DegenerateStationaryError when the
+    fixed-point space does not pin down a single distribution.
     """
+    check_subset_budget(G.n, t, budget)
     F = transition_matrix(G, t)
     size = len(F.rows)
     shifted = [
@@ -187,6 +165,6 @@ def stationary_profile(G: LabeledGraph, t: int) -> NestedProfile:
     return NestedProfile(base=F.base, profile=profile, matrix=F)
 
 
-def nested_spectral(G: LabeledGraph, t: int) -> SpectralProfile:
+def nested_spectral(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> SpectralProfile:
     """Transform of the stationary profile of nested composition of G."""
-    return fourier(stationary_profile(G, t).profile)
+    return fourier(stationary_profile(G, t, budget).profile)

@@ -31,17 +31,15 @@ from .graphs import (
     graph_from_mask,
     mask_of,
 )
-from .models import StepModel
+from .models import APPROX_TOL, StepModel
 
 MIN_ORDER = 2
 MAX_ORDER = 5
 DEFAULT_SUBSET_BUDGET = 10 ** 9
 DEFAULT_ASSIGNMENT_BUDGET = 10 ** 10
-DIRECT_ASSIGNMENT_CUTOFF = 200_000
 MC_SHARDS = 32
 
 TYPE_NAMES_4 = ("K4", "A4", "T4", "S4", "M4", "C4", "Q4", "V4", "D4", "E4", "P4")
-_APPROX_TOL = 1e-9
 
 
 class BudgetError(RuntimeError):
@@ -147,9 +145,9 @@ def _validate_distribution(values, exact: bool, what: str) -> None:
         if any(v < 0 for v in values):
             raise ValueError(f"{what} must be nonnegative")
     else:
-        if abs(total - 1.0) > _APPROX_TOL:
+        if abs(total - 1.0) > APPROX_TOL:
             raise ValueError(f"{what} must sum to one")
-        if any(v < -_APPROX_TOL for v in values):
+        if any(v < -APPROX_TOL for v in values):
             raise ValueError(f"{what} must be nonnegative")
 
 
@@ -176,7 +174,7 @@ class ProfileVector:
         table = iso_table(self.t)
         out = [None] * (1 << masks.slot_count(self.t))
         for e, value in zip(table.entries, self.values):
-            share = value / e.orbit_size
+            share = Fraction(value) / e.orbit_size if self.exact else value / e.orbit_size
             for mask in e.orbit:
                 out[mask] = share
         flavor = "p" if self.flavor == "induced" else "r"
@@ -205,7 +203,7 @@ class LabeledProfile:
                 if self.exact:
                     if v != ref:
                         raise ValueError("labeled profile is not constant on orbits")
-                elif abs(v - ref) > _APPROX_TOL:
+                elif abs(v - ref) > APPROX_TOL:
                     raise ValueError("labeled profile is not constant on orbits")
 
     def to_unlabeled(self) -> ProfileVector:
@@ -344,23 +342,10 @@ def induced_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET
         raise BudgetError(f"{total} subsets exceed the budget of {budget}")
     table = iso_table(t)
     counts = [0] * len(table.entries)
-    if t == 4 and G.n >= 8:
-        for mask, c in enumerate(_mask_counts4(G)):
-            if c:
-                counts[table.index[mask]] += c
-    else:
-        for (mask, _), c in _decorated_subset_counts(G, t).items():
-            counts[table.index[mask]] += c
+    for (mask, _), c in _decorated_subset_counts(G, t).items():
+        counts[table.index[mask]] += c
     values = tuple(Fraction(c, total) for c in counts)
     return ProfileVector(t=t, flavor="induced", values=values)
-
-
-def labeled_induced_values(G: LabeledGraph, ell: int, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple:
-    """Labeled induced densities of G at order ell; the order-1 case is the
-    trivial unit."""
-    if ell == 1:
-        return (Fraction(1),)
-    return induced_profile(G, ell, budget).as_labeled().values
 
 
 def _repetitive_by_assignments(M: StepModel, t: int) -> list:
@@ -409,59 +394,96 @@ def _ordered_pattern_counts(G: LabeledGraph, ell: int) -> dict:
     counts: dict = {}
     for (mask, loops), cnt in unordered.items():
         for sigma, table in tables.items():
-            key = (table[mask], masks.permute_bits(loops, sigma))
+            key = (table[mask], masks.permute_bits(loops, sigma) if loops else 0)
             counts[key] = counts.get(key, 0) + cnt
     return counts
 
 
-def _repetitive_by_subsets(M: StepModel, t: int, budget: int) -> list:
-    """Repetitive profile of a 0/1 uniform-mass model by grouping sample
-    positions that land on the same vertex: subsets of the underlying graph
-    are enumerated once and lifted through every vertex partition."""
-    k = M.k
-    rows = tuple(
-        sum(1 << j for j in range(k) if M.w[i][j] == 1) for i in range(k)
-    )
-    G = LabeledGraph(k, rows)
-    ordered = {}
-    for ell in range(1, t + 1):
-        if ell <= k:
-            if math.comb(k, ell) > budget:
-                raise BudgetError(f"{math.comb(k, ell)} subsets exceed the budget of {budget}")
-            ordered[ell] = _ordered_pattern_counts(G, ell)
-        else:
-            ordered[ell] = {}
-    scale = Fraction(1, k ** t)
-    out = [Fraction(0)] * (1 << masks.slot_count(t))
-    for pt in masks.partition_tables(t):
-        ell = pt.size
-        for (qmask, qloops), cnt in ordered[ell].items():
-            lifted = 0
-            for p in range(ell):
-                if (qloops >> p) & 1:
-                    lifted |= pt.part_slot_masks[p]
-            qbits = qmask
-            s2 = 0
-            while qbits:
-                if qbits & 1:
-                    lifted |= pt.cross_slot_masks[s2]
-                qbits >>= 1
-                s2 += 1
-            out[lifted] += cnt * scale
+def check_subset_budget(n: int, t: int, budget: int) -> None:
+    """Refuse work that enumerates the ell-subsets of n vertices for some
+    ell <= t when one order alone exceeds the budget."""
+    cost = max(math.comb(n, ell) for ell in range(1, t + 1))
+    if cost > budget:
+        raise BudgetError(f"{cost} subsets exceed the budget of {budget}")
+
+
+def ordered_counts(G: LabeledGraph, t: int) -> dict:
+    """Ordered decorated pattern counts of G at every order 1..t, the input
+    of partition_lift; orders above G.n have no patterns."""
+    return {ell: _ordered_pattern_counts(G, ell) for ell in range(1, min(G.n, t) + 1)}
+
+
+def _expand(bits: int, slot_masks) -> int:
+    """Union of slot_masks[k] over the set bits k of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= slot_masks[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
+def partition_lift(t: int, ordered: dict, inner=None) -> list:
+    """Numerators of a labeled repetitive t-profile, lifted from patterns on
+    the distinct vertices the samples hit.
+
+    Grouping the t samples by the vertex they land on gives a partition of
+    the sample positions into ell parts.  ordered[ell] maps (quotient mask,
+    loop bits) of ell distinct vertices in order to a count; the quotient
+    mask sets the slots between parts.  Slots within a part are set from
+    its loop bit or, when inner (a mapping from mask to weight) is given,
+    are distributed as the marginal of inner on those slots.  The caller
+    divides the result once by its total weight.
+    """
+    out = [0] * (1 << masks.slot_count(t))
+    for pt in masks.partition_tables(t):
+        counts = ordered.get(pt.size)
+        if not counts:
+            continue
+        if inner is None:
+            for (qmask, qloops), cnt in counts.items():
+                lifted = _expand(qmask, pt.cross_slot_masks) | _expand(qloops, pt.part_slot_masks)
+                out[lifted] += cnt
+            continue
+        within = pt.within_mask
+        marginal: dict = {}
+        for mask, value in inner.items():
+            marginal[mask & within] = marginal.get(mask & within, 0) + value
+        for (qmask, _), cnt in counts.items():
+            cross = _expand(qmask, pt.cross_slot_masks)
+            for slots, value in marginal.items():
+                out[cross | slots] += cnt * value
+    return out
+
+
+def divide(numerators, denominator: int, exact: bool = True) -> tuple:
+    """Divide the numerators of partition_lift by their total weight."""
+    if exact:
+        return tuple(Fraction(v, denominator) for v in numerators)
+    return tuple(v / denominator for v in numerators)
+
+
+def _repetitive_by_subsets(M: StepModel, t: int, budget: int) -> list:
+    """Repetitive profile of a 0/1 uniform-mass model: ordered patterns of
+    the underlying graph, with loops, lifted through every vertex
+    partition."""
+    k = M.k
+    check_subset_budget(k, t, budget)
+    rows = tuple(
+        sum(1 << j for j in range(k) if M.w[i][j] == 1) for i in range(k)
+    )
+    ordered = ordered_counts(LabeledGraph(k, rows), t)
+    return list(divide(partition_lift(t, ordered), k ** t))
+
+
 def labeled_repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
+    """Exact 0/1 uniform-mass models take the partition lift, charged in
+    subsets per order; every other model enumerates its k^t assignments."""
     _check_order(t)
-    direct_cost = M.k ** t
-    if (
-        M.exact
-        and M.is_zero_one()
-        and M.has_uniform_masses()
-        and direct_cost > DIRECT_ASSIGNMENT_CUTOFF
-    ):
+    if M.exact and M.is_zero_one() and M.has_uniform_masses():
         values = _repetitive_by_subsets(M, t, budget)
     else:
+        direct_cost = M.k ** t
         if direct_cost > budget:
             raise BudgetError(
                 f"{direct_cost} assignments exceed the budget of {budget}; "
@@ -478,35 +500,23 @@ def repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BU
 
 def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     """Repetitive profile of a loopless s-vertex graph from its induced
-    t-profile: group sample positions by the vertex they hit, which leaves
-    quotient densities that marginalize out of P."""
+    t-profile: the ordered ell-patterns number (s)_ell times the labeled
+    induced densities, which marginalize out of P.  P need not come from
+    an actual graph, so these counts stay rationals."""
     if P.flavor != "induced":
         raise ValueError("expected an induced profile")
     if t != P.t:
         raise ValueError("order mismatch")
     if s < t:
         raise ValueError("source graph must have at least t vertices")
-    p_full = list(P.as_labeled().values)
-    p_by_ell = {t: p_full}
-    for ell in range(1, t):
-        p_by_ell[ell] = masks.project_labeled(t, p_full, ell)
-    m = masks.slot_count(t)
-    out = [Fraction(0)] * (1 << m)
-    st = s ** t
-    for pt in masks.partition_tables(t):
-        falling = math.perm(s, pt.size)
-        if falling == 0:
-            continue
-        coef = Fraction(falling, st)
-        pvals = p_by_ell[pt.size]
-        adm = pt.admissible
-        quo = pt.quotient
-        within = pt.within_mask
-        for mask in range(1 << m):
-            if mask & within or not adm[mask]:
-                continue
-            out[mask] += coef * pvals[quo[mask]]
-    return LabeledProfile(t=t, flavor="r", values=tuple(out)).to_unlabeled()
+    p_full = P.as_labeled().values
+    ordered = {}
+    for ell in range(1, t + 1):
+        p_ell = p_full if ell == t else masks.project_labeled(t, p_full, ell)
+        falling = math.perm(s, ell)
+        ordered[ell] = {(mask, 0): v * falling for mask, v in enumerate(p_ell) if v}
+    values = divide(partition_lift(t, ordered), s ** t, P.exact)
+    return LabeledProfile(t=t, flavor="r", values=values, exact=P.exact).to_unlabeled()
 
 
 def _adjacency_array(G: LabeledGraph) -> np.ndarray:

@@ -13,16 +13,15 @@ from fractions import Fraction
 
 from . import masks
 from .graphs import LabeledGraph
-from .models import StepModel, from_graph
+from .models import APPROX_TOL, StepModel, from_graph
 from .profiles import (
+    DEFAULT_ASSIGNMENT_BUDGET,
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
     iso_table,
     labeled_repetitive_profile,
 )
-
-_APPROX_TOL = 1e-9
 
 
 def fwht_forward(values) -> list:
@@ -66,7 +65,7 @@ class SpectralProfile:
     def __post_init__(self):
         if len(self.values) != 1 << masks.slot_count(self.t):
             raise ValueError("value count does not match the mask space")
-        tol = 0 if self.exact else _APPROX_TOL
+        tol = 0 if self.exact else APPROX_TOL
         if abs(self.values[0] - 1) > tol:
             raise ValueError("spectrum of a unit-mass profile must start at one")
         if any(abs(v) > 1 + tol for v in self.values):
@@ -129,8 +128,8 @@ def graph_spectrum(G: LabeledGraph, t: int) -> SpectralProfile:
     return fourier(labeled_repetitive_profile(from_graph(G), t))
 
 
-def model_spectrum(M: StepModel, t: int) -> SpectralProfile:
-    return fourier(labeled_repetitive_profile(M, t))
+def model_spectrum(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> SpectralProfile:
+    return fourier(labeled_repetitive_profile(M, t, budget))
 
 
 def quantum_functional(Q: QuantumGraph) -> tuple:

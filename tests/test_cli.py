@@ -137,10 +137,21 @@ def test_error_paths_exit_two(capsys):
         ["density", "--t", "4", "--quantum", "K9", "C5"],
         ["tables", "--which", "nosuch"],
         ["profile", "--t", "4", "--budget", "5", "C30"],
+        ["profile", "--t", "4", "--flavor", "spectral", "--budget", "5", "C30"],
+        ["limit", "--t", "4", "--quantum", "P4", "--nested", "C5", "--budget", "1"],
+        ["nested-profile", "--t", "4", "--budget", "1", "C5"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
-        assert "error" in err
+        assert "error:" in err
+
+
+def test_budget_verdict_is_monotone_in_size(capsys):
+    # a smaller graph is never refused where a larger one answers: both are
+    # charged C(n, ell) subsets per order, far below the budget
+    for expr in ("C21", "C22"):
+        code, out, err = _run(capsys, ["profile", "--t", "4", "--budget", "10000", expr])
+        assert code == 0, (expr, err)
 
 
 def test_cache_round_trip(capsys, tmp_path):

@@ -1,0 +1,113 @@
+"""Differential tests of every partition-lift route against the per-assignment
+enumerator, which shares no code with the lift."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from inducibility.graphs import from_edges
+from inducibility.masks import pair_slots
+from inducibility.models import StepModel, from_graph
+from inducibility.nesting import compose_profile, transition_matrix
+from inducibility.profiles import (
+    LabeledProfile,
+    _repetitive_by_assignments,
+    induced_profile,
+    labeled_repetitive_profile,
+    repetitive_from_induced,
+    repetitive_profile,
+)
+
+orders = st.integers(2, 5)
+# half 0/1, since every fractional pair doubles the oracle's branches
+probabilities = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), st.fractions(0, 1, max_denominator=4))
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=6, loops=True):
+    n = draw(st.integers(min_n, max_n))
+    pairs = pair_slots(n)
+    edge_bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    loop_bits = draw(st.integers(0, (1 << n) - 1)) if loops else 0
+    edges = [p for k, p in enumerate(pairs) if (edge_bits >> k) & 1]
+    return from_edges(n, edges, [v for v in range(n) if (loop_bits >> v) & 1])
+
+
+@st.composite
+def step_models(draw, max_k=3):
+    """Exact models with rational masses and probabilities, diagonal included."""
+    k = draw(st.integers(1, max_k))
+    weights = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    masses = tuple(Fraction(w, sum(weights)) for w in weights)
+    w = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            w[i][j] = w[j][i] = draw(probabilities)
+    return StepModel(masses=masses, w=tuple(map(tuple, w)), exact=True)
+
+
+def inner_models(max_k):
+    return st.one_of(graphs(max_n=max_k).map(from_graph), step_models(max_k=max_k))
+
+
+def substitute(G, M: StepModel) -> StepModel:
+    """Step model of G with a copy of M in place of every vertex: types
+    (g, h), and pairs on one vertex of G follow M."""
+    types = [(g, h) for g in range(G.n) for h in range(M.k)]
+    masses = tuple(M.masses[h] / G.n for _, h in types)
+    w = tuple(
+        tuple(
+            M.w[h][h2] if g == g2 else Fraction((G.rows[g] >> g2) & 1)
+            for g2, h2 in types
+        )
+        for g, h in types
+    )
+    return StepModel(masses=masses, w=w, exact=True)
+
+
+def oracle(M: StepModel, t: int) -> LabeledProfile:
+    return LabeledProfile(t=t, flavor="r", values=tuple(_repetitive_by_assignments(M, t)))
+
+
+@st.composite
+def substitutions(draw):
+    """An order, a loopless outer graph and an inner model whose
+    substitution has at most 6 types, or 4 at t = 5, which keeps the
+    oracle's k^t assignments few."""
+    t = draw(orders)
+    G = draw(graphs(max_n=3, loops=False))
+    return t, G, draw(inner_models((4 if t == 5 else 6) // G.n))
+
+
+@settings(max_examples=60)
+@given(graphs(), orders)
+def test_repetitive_profile_of_graph_matches_oracle(G, t):
+    M = from_graph(G)
+    assert labeled_repetitive_profile(M, t) == oracle(M, t)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_lift_of_induced_profile_matches_oracle(data):
+    t = data.draw(orders)
+    G = data.draw(graphs(min_n=t, loops=False))
+    lifted = repetitive_from_induced(induced_profile(G, t), G.n, t)
+    assert lifted == oracle(from_graph(G), t).to_unlabeled()
+
+
+@settings(max_examples=60)
+@given(substitutions())
+def test_compose_profile_matches_oracle(case):
+    t, G, M = case
+    assert compose_profile(G, labeled_repetitive_profile(M, t)) == oracle(substitute(G, M), t)
+
+
+@settings(max_examples=60)
+@given(substitutions())
+def test_transition_matrix_matches_oracle(case):
+    t, G, M = case
+    applied = transition_matrix(G, t).apply(repetitive_profile(M, t).values)
+    assert applied == oracle(substitute(G, M), t).to_unlabeled().values

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from inducibility.graphs import build_named, from_edges
-from inducibility.models import bernoulli, from_graph
+from inducibility.models import bernoulli, from_graph, model_union
 from inducibility.profiles import (
     BudgetError,
     ProfileVector,
@@ -16,7 +16,6 @@ from inducibility.profiles import (
     _repetitive_by_subsets,
     induced_profile,
     iso_table,
-    labeled_induced_values,
     labeled_repetitive_profile,
     monte_carlo_monochromatic,
     monte_carlo_profile,
@@ -119,12 +118,6 @@ def test_induced_profile_needs_enough_vertices():
         induced_profile(from_edges(4, loops=[0]), 3)
 
 
-def test_labeled_induced_values_normalization():
-    vals = labeled_induced_values(build_named("C", [5]), 3)
-    assert sum(vals) == 1
-    assert labeled_induced_values(build_named("C", [5]), 1) == (Fraction(1),)
-
-
 def test_repetitive_profile_hand_values():
     R = repetitive_profile(from_graph(build_named("K", [2])), 2)
     assert R.entry("K2") == Fraction(1, 2)
@@ -162,6 +155,9 @@ def test_repetitive_from_induced_edge_cases():
     G = build_named("K", [4])
     lifted = repetitive_from_induced(induced_profile(G, 4), 4, 4)
     assert lifted == repetitive_profile(from_graph(G), 4)
+    # integer entries are exact too
+    point = ProfileVector(t=3, flavor="induced", values=(1, 0, 0, 0))
+    assert repetitive_from_induced(point, 5, 3) == repetitive_profile(from_graph(build_named("K", [5])), 3)
     with pytest.raises(ValueError):
         repetitive_from_induced(induced_profile(G, 4), 3, 4)
     with pytest.raises(ValueError):
@@ -173,8 +169,14 @@ def test_repetitive_from_induced_edge_cases():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         induced_profile(build_named("C", [30]), 4, budget=10)
+    # a 0/1 model is charged C(k, ell) subsets per order: C(30, 2) = 435
     with pytest.raises(BudgetError):
-        repetitive_profile(from_graph(build_named("C", [5])), 4, budget=100)
+        repetitive_profile(from_graph(build_named("C", [30])), 4, budget=100)
+    # any other model is charged k^t assignments: 7^4 = 2401
+    K3 = from_graph(build_named("K", [3]))
+    weighted = model_union([(K3, 1), (K3, 2), (bernoulli(Fraction(1, 3)), 1)])
+    with pytest.raises(BudgetError):
+        repetitive_profile(weighted, 4, budget=100)
 
 
 def test_quantum_graph_merging_and_density():
