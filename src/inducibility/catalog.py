@@ -5,7 +5,10 @@ extremal constructions), headline (the tensor and nested limits the
 toolkit exists to compute), and appendix5 (5-vertex lower-bound
 constructions).  Every row carries its construction as expression text and
 its expected value; running a table recomputes each row through the
-profile, nesting and spectral pipelines and compares.
+profile, nesting and spectral pipelines and compares.  The row modes
+model, nested and product are the functions density, nested_profile and
+limit_density, which the CLI's density, nested-profile and limit commands
+call too.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .dsl import evaluate, parse_expr, parse_quantum, split_top_level
 from .graphs import LabeledGraph, from_edges
-from .models import APPROX_TOL, from_graph
+from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
 from .profiles import (
     QuantumGraph,
@@ -110,37 +113,52 @@ class BoundReport:
         return self.row.row_id
 
 
-def _expected_value(text: str) -> Fraction:
-    return Fraction(text)
+def _graph(expr: str, approx: bool, message: str) -> LabeledGraph:
+    G = evaluate(parse_expr(expr), approx=approx)
+    if not isinstance(G, LabeledGraph):
+        raise ValueError(message)
+    return G
+
+
+def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):
+    """Repetitive density of Q in the limit of a construction.  A `budget`
+    keyword bounds the work of each route; without it the route's default
+    applies."""
+    source = evaluate(parse_expr(expr), approx=approx)
+    return quantum_density(Q, repetitive_profile(source, Q.t, **budget))
+
+
+def nested_profile(expr: str, t: int, approx: bool = False, **budget):
+    """Stationary t-profile of the nested composition of a graph construction."""
+    base = _graph(expr, approx, "nested profiles need a loopless graph construction")
+    return stationary_profile(base, t, **budget).profile
+
+
+def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: bool = False, **budget):
+    """Repetitive density of Q in the tensor product of the limits of the
+    comma-separated factors and of the nested composition of `nested`."""
+    spectra = [
+        model_spectrum(evaluate(parse_expr(text), approx=approx), Q.t, **budget)
+        for text in (split_top_level(factors) if factors else ())
+    ]
+    if nested:
+        base = _graph(nested, approx, "the nested factor must be a loopless graph")
+        spectra.append(nested_spectral(base, Q.t, **budget))
+    return product_limit_density(Q, *spectra)
 
 
 def run_row(row: CatalogRow) -> BoundReport:
     start = time.perf_counter()
     Q = row.quantum()
     if row.mode == "model":
-        source = evaluate(parse_expr(row.construction), approx=row.approx)
-        if isinstance(source, LabeledGraph):
-            source = from_graph(source)
-        computed = quantum_density(Q, repetitive_profile(source, row.t))
+        computed = density(Q, row.construction, row.approx)
     elif row.mode == "nested":
-        base = evaluate(parse_expr(row.construction), approx=row.approx)
-        if not isinstance(base, LabeledGraph):
-            raise ValueError(f"{row.row_id}: nested base must be a graph")
-        computed = quantum_density(Q, stationary_profile(base, row.t).profile)
+        computed = quantum_density(Q, nested_profile(row.construction, row.t, row.approx))
     elif row.mode == "product":
-        spectra = []
-        for text in split_top_level(row.factors):
-            source = evaluate(parse_expr(text), approx=row.approx)
-            if isinstance(source, LabeledGraph):
-                source = from_graph(source)
-            spectra.append(model_spectrum(source, row.t))
-        if row.nested_factor:
-            base = evaluate(parse_expr(row.nested_factor), approx=row.approx)
-            spectra.append(nested_spectral(base, row.t))
-        computed = product_limit_density(Q, *spectra)
+        computed = limit_density(Q, row.factors, row.nested_factor, row.approx)
     else:
         raise ValueError(f"unknown row mode {row.mode!r}")
-    expected = _expected_value(row.expected)
+    expected = Fraction(row.expected)
     if row.comparison == "exact":
         passed = computed == expected
     else:

@@ -17,20 +17,17 @@ import sys
 import tempfile
 
 from . import __version__
-from .catalog import TABLES, closed_form_bounds, reproduce_table
+from .catalog import TABLES, closed_form_bounds, density, limit_density, nested_profile, reproduce_table
 from .dsl import evaluate, parse_expr, parse_quantum, print_expr, split_top_level
 from .graphs import LabeledGraph, graph6_decode, graph6_encode
-from .models import StepModel, from_graph
-from .nesting import nested_spectral, stationary_profile
 from .profiles import (
     induced_profile,
     iso_table,
-    labeled_repetitive_profile,
+    labeled_repetitive,
     monte_carlo_profile,
-    quantum_density,
     repetitive_profile,
 )
-from .spectral import model_spectrum, product_limit_density
+from .spectral import model_spectrum
 
 _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
 
@@ -136,54 +133,33 @@ def _run_profile(args) -> dict:
         if not isinstance(source, LabeledGraph):
             raise ValueError("induced profiles need a graph construction")
         values = induced_profile(source, args.t, **kw).values
+    elif args.flavor == "repetitive":
+        values = repetitive_profile(source, args.t, **kw).values
+    elif args.flavor == "labeled":
+        lab = labeled_repetitive(source, args.t, **kw)
+        values = tuple(lab.values[e.rep_mask] for e in iso_table(args.t).entries)
     else:
-        model = source if isinstance(source, StepModel) else from_graph(source)
-        if args.flavor == "repetitive":
-            values = repetitive_profile(model, args.t, **kw).values
-        elif args.flavor == "labeled":
-            lab = labeled_repetitive_profile(model, args.t, **kw)
-            table = iso_table(args.t)
-            values = tuple(lab.values[e.rep_mask] for e in table.entries)
-        else:
-            values = model_spectrum(model, args.t, **kw).type_values()
+        values = model_spectrum(source, args.t, **kw).type_values()
     return _profile_payload(f"profile:{args.flavor}", args.t, names, values, args)
 
 
 def _run_density(args) -> dict:
     Q = parse_quantum(args.quantum, args.t)
-    source = evaluate(parse_expr(args.expr), approx=args.approx)
-    model = source if isinstance(source, StepModel) else from_graph(source)
-    prof = repetitive_profile(model, args.t, **_budget_kwargs(args))
-    value = quantum_density(Q, prof)
+    value = density(Q, args.expr, args.approx, **_budget_kwargs(args))
     return _profile_payload("density", args.t, (Q.describe(),), (value,), args)
 
 
 def _run_nested_profile(args) -> dict:
-    base = evaluate(parse_expr(args.expr), approx=args.approx)
-    if not isinstance(base, LabeledGraph):
-        raise ValueError("nested profiles need a loopless graph construction")
-    q = stationary_profile(base, args.t, **_budget_kwargs(args))
+    values = nested_profile(args.expr, args.t, args.approx, **_budget_kwargs(args)).values
     names = iso_table(args.t).type_names()
-    return _profile_payload("nested-profile", args.t, names, q.profile.values, args)
+    return _profile_payload("nested-profile", args.t, names, values, args)
 
 
 def _run_limit(args) -> dict:
     if not args.factors and not args.nested:
         raise ValueError("limit needs --factors, --nested, or both")
     Q = parse_quantum(args.quantum, args.t)
-    kw = _budget_kwargs(args)
-    spectra = []
-    if args.factors:
-        for text in split_top_level(args.factors):
-            source = evaluate(parse_expr(text), approx=args.approx)
-            model = source if isinstance(source, StepModel) else from_graph(source)
-            spectra.append(model_spectrum(model, args.t, **kw))
-    if args.nested:
-        base = evaluate(parse_expr(args.nested), approx=args.approx)
-        if not isinstance(base, LabeledGraph):
-            raise ValueError("the nested factor must be a loopless graph")
-        spectra.append(nested_spectral(base, args.t, **kw))
-    value = product_limit_density(Q, *spectra)
+    value = limit_density(Q, args.factors, args.nested, args.approx, **_budget_kwargs(args))
     return _profile_payload("limit", args.t, (Q.describe(),), (value,), args)
 
 
@@ -348,6 +324,9 @@ def run_command(argv) -> int:
         if args.cache:
             key = _cache_key(args)
             payload = _cache_load(args.cache, key)
+            if payload is not None:
+                # the budget stays out of the key; report the one of this run
+                payload["meta"]["budget"] = args.budget
         if payload is None:
             payload = _RUNNERS[args.command](args)
             if args.cache:

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from .graphs import LabeledGraph, graph6_encode
 from .linalg import solve_rational_kernel
-from .models import from_graph
 from .profiles import (
     DEFAULT_SUBSET_BUDGET,
     LabeledProfile,
@@ -25,7 +24,7 @@ from .profiles import (
     check_subset_budget,
     divide,
     iso_table,
-    labeled_repetitive_profile,
+    labeled_repetitive,
     ordered_counts,
     partition_lift,
 )
@@ -64,7 +63,7 @@ def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
     """Labeled repetitive t-profile of G composed into itself n times."""
     if n < 1:
         raise ValueError("need at least one composition level")
-    lab = labeled_repetitive_profile(from_graph(G), t)
+    lab = labeled_repetitive(G, t)
     for _ in range(n - 1):
         lab = compose_profile(G, lab)
     return lab

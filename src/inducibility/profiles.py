@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import masks
 from .graphs import (
     LabeledGraph,
@@ -463,39 +461,42 @@ def divide(numerators, denominator: int, exact: bool = True) -> tuple:
     return tuple(v / denominator for v in numerators)
 
 
-def _repetitive_by_subsets(M: StepModel, t: int, budget: int) -> list:
-    """Repetitive profile of a 0/1 uniform-mass model: ordered patterns of
-    the underlying graph, with loops, lifted through every vertex
-    partition."""
-    k = M.k
-    check_subset_budget(k, t, budget)
-    rows = tuple(
-        sum(1 << j for j in range(k) if M.w[i][j] == 1) for i in range(k)
-    )
-    ordered = ordered_counts(LabeledGraph(k, rows), t)
-    return list(divide(partition_lift(t, ordered), k ** t))
+def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
+    """Labeled repetitive t-profile of a graph's blow-up limit or of a step
+    model; the one place where a route is chosen.
+
+    A graph, or an exact 0/1 uniform-mass model through its support graph,
+    takes the partition lift of its ordered patterns, charged C(n, ell)
+    subsets per order before any pattern is counted.  Every other model
+    enumerates its k^t assignments.
+    """
+    _check_order(t)
+    G = source
+    if isinstance(source, StepModel) and source.exact and source.is_zero_one() and source.has_uniform_masses():
+        rows = (sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w)
+        G = LabeledGraph(source.k, tuple(rows))
+    if isinstance(G, LabeledGraph):
+        check_subset_budget(G.n, t, budget)
+        values = divide(partition_lift(t, ordered_counts(G, t)), G.n ** t)
+        return LabeledProfile(t=t, flavor="r", values=values)
+    direct_cost = source.k ** t
+    if direct_cost > budget:
+        raise BudgetError(
+            f"{direct_cost} assignments exceed the budget of {budget}; "
+            "consider monte_carlo_profile"
+        )
+    values = _repetitive_by_assignments(source, t)
+    return LabeledProfile(t=t, flavor="r", values=tuple(values), exact=source.exact)
 
 
 def labeled_repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
-    """Exact 0/1 uniform-mass models take the partition lift, charged in
-    subsets per order; every other model enumerates its k^t assignments."""
-    _check_order(t)
-    if M.exact and M.is_zero_one() and M.has_uniform_masses():
-        values = _repetitive_by_subsets(M, t, budget)
-    else:
-        direct_cost = M.k ** t
-        if direct_cost > budget:
-            raise BudgetError(
-                f"{direct_cost} assignments exceed the budget of {budget}; "
-                "consider monte_carlo_profile"
-            )
-        values = _repetitive_by_assignments(M, t)
-    return LabeledProfile(t=t, flavor="r", values=tuple(values), exact=M.exact)
+    """Labeled repetitive t-profile of a step model, by labeled_repetitive."""
+    return labeled_repetitive(M, t, budget)
 
 
-def repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> ProfileVector:
-    """Exact repetitive t-profile of a step model."""
-    return labeled_repetitive_profile(M, t, budget).to_unlabeled()
+def repetitive_profile(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> ProfileVector:
+    """Exact repetitive t-profile of a graph's blow-up limit or a step model."""
+    return labeled_repetitive(source, t, budget).to_unlabeled()
 
 
 def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
@@ -519,7 +520,8 @@ def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     return LabeledProfile(t=t, flavor="r", values=values, exact=P.exact).to_unlabeled()
 
 
-def _adjacency_array(G: LabeledGraph) -> np.ndarray:
+def _adjacency_array(G: LabeledGraph):
+    import numpy as np
     nbytes = (G.n + 7) // 8
     raw = np.frombuffer(
         b"".join(row.to_bytes(nbytes, "little") for row in G.rows), dtype=np.uint8
@@ -557,6 +559,7 @@ _BATCH = 1 << 20
 
 def _sample_masks(source, t, rng, count, pairs):
     """Yield int64 mask arrays for `count` samples from a graph or model."""
+    import numpy as np
     if isinstance(source, LabeledGraph):
         adj = _adjacency_array(source)
         n = source.n
@@ -591,6 +594,7 @@ def monte_carlo_profile(source, t: int, samples: int, seed: int, shards: int = M
     """Estimate the repetitive t-profile of a graph or model by seeded
     sampling; shard seeds are derived deterministically so the result does
     not depend on how shards are scheduled."""
+    import numpy as np
     _check_order(t)
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -623,6 +627,7 @@ def monte_carlo_monochromatic(source, t: int, samples: int, seed: int, shards: i
     """Estimate the probability that t sampled vertices induce a clique or
     an anticlique.  Unlike the profile estimator this works above order 5;
     it is the only order-6 quantity the toolkit touches."""
+    import numpy as np
     if t < 2 or t > 8:
         raise ValueError("monochromatic order must be in 2..8")
     if samples < 1:

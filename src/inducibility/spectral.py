@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import masks
-from .graphs import LabeledGraph
-from .models import APPROX_TOL, StepModel, from_graph
+from .models import APPROX_TOL
 from .profiles import (
     DEFAULT_ASSIGNMENT_BUDGET,
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
     iso_table,
-    labeled_repetitive_profile,
+    labeled_repetitive,
 )
 
 
@@ -123,13 +122,9 @@ def convolve(*profiles) -> LabeledProfile:
     return inverse_fourier(spectral_product(*spectra))
 
 
-def graph_spectrum(G: LabeledGraph, t: int) -> SpectralProfile:
-    """Spectrum of the uniform step model of a graph."""
-    return fourier(labeled_repetitive_profile(from_graph(G), t))
-
-
-def model_spectrum(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> SpectralProfile:
-    return fourier(labeled_repetitive_profile(M, t, budget))
+def model_spectrum(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> SpectralProfile:
+    """Spectrum of a graph's blow-up limit or of a step model."""
+    return fourier(labeled_repetitive(source, t, budget))
 
 
 def quantum_functional(Q: QuantumGraph) -> tuple:

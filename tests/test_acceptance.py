@@ -38,7 +38,7 @@ from inducibility.profiles import (
     repetitive_from_induced,
     repetitive_profile,
 )
-from inducibility.spectral import convolve, graph_spectrum, product_limit_density
+from inducibility.spectral import convolve, model_spectrum, product_limit_density
 from inducibility.catalog import reproduce_table
 
 RUN_SLOW = bool(os.environ.get("RUN_SLOW"))
@@ -90,8 +90,8 @@ def test_criterion_02_stationary_vector():
 def test_criterion_03_fourier_table():
     start = time.perf_counter()
     probe = ("K4", "M4", "C4", "Q4", "V4")
-    spec_k4 = graph_spectrum(build_named("K4"), 4)
-    spec_m4 = graph_spectrum(build_named("M4"), 4)
+    spec_k4 = model_spectrum(build_named("K4"), 4)
+    spec_m4 = model_spectrum(build_named("M4"), 4)
     q_hat = nested_spectral(K33, 4)
     expected_k4 = (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(-1, 8), Fraction(1, 4))
     expected_m4 = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(1, 4))
@@ -111,9 +111,9 @@ def test_criterion_04_headline_limits():
     path = QuantumGraph.from_pairs(4, [("P4", 1)])
     q_hat = nested_spectral(K33, 4)
     value1 = product_limit_density(
-        thomason, graph_spectrum(build_named("M4"), 4), graph_spectrum(build_named("K4"), 4), q_hat
+        thomason, model_spectrum(build_named("M4"), 4), model_spectrum(build_named("K4"), 4), q_hat
     )
-    value2 = product_limit_density(path, graph_spectrum(build_named("K4"), 4), q_hat)
+    value2 = product_limit_density(path, model_spectrum(build_named("K4"), 4), q_hat)
     assert value1 == Fraction(1411, 46592)
     assert value2 == Fraction(1173, 5824)
     elapsed = time.perf_counter() - start
@@ -126,7 +126,7 @@ def test_criterion_05_finite_tensor_densities():
     thomason = QuantumGraph.from_pairs(4, [("K4", 1), ("A4", 1)])
     factors = [build_named("M4"), build_named("K4"), K3, K3]
     via_spectra = product_limit_density(
-        thomason, *(graph_spectrum(G, 4) for G in factors)
+        thomason, *(model_spectrum(G, 4) for G in factors)
     )
     big = tensor(*factors)
     assert big.n == 144
@@ -138,9 +138,9 @@ def test_criterion_05_finite_tensor_densities():
     assert g18.n == 18
     via_g18 = product_limit_density(
         thomason,
-        graph_spectrum(build_named("M4"), 4),
-        graph_spectrum(build_named("K4"), 4),
-        graph_spectrum(g18, 4),
+        model_spectrum(build_named("M4"), 4),
+        model_spectrum(build_named("K4"), 4),
+        model_spectrum(g18, 4),
     )
     assert via_g18 == Fraction(3769, 124416)
     elapsed = time.perf_counter() - start

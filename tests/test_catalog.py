@@ -64,6 +64,21 @@ def test_unknown_row_mode_rejected():
         run_row(row)
 
 
+@pytest.mark.parametrize(
+    "mode, fields, message",
+    [
+        ("nested", {"construction": "bernoulli(1/2)"}, "nested profiles need a loopless graph"),
+        ("product", {"factors": "K4", "nested_factor": "bernoulli(1/2)"},
+         "nested factor must be a loopless graph"),
+    ],
+)
+def test_nested_base_must_be_a_graph(mode, fields, message):
+    # rows share the CLI's checks: a model cannot be nested
+    row = CatalogRow(row_id="x", t=4, mode=mode, expected="1", comparison="exact", target="K4", **fields)
+    with pytest.raises(ValueError, match=message):
+        run_row(row)
+
+
 def test_alpha_weight_is_a_local_maximum():
     # the two-block weight maximizes the target density of the alpha rows
     row = next(r for r in catalog_rows("appendix5") if r.row_id == "appendix5-09")

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import inducibility.cli as cli
+from inducibility import models
+from inducibility.catalog import reproduce_table
 from inducibility.cli import run_command
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, argv):
@@ -140,6 +148,8 @@ def test_error_paths_exit_two(capsys):
         ["profile", "--t", "4", "--flavor", "spectral", "--budget", "5", "C30"],
         ["limit", "--t", "4", "--quantum", "P4", "--nested", "C5", "--budget", "1"],
         ["nested-profile", "--t", "4", "--budget", "1", "C5"],
+        ["profile", "--t", "3", "--budget", "10", "cayley2(11; 1)"],
+        ["limit", "--t", "4", "--quantum", "P4", "--factors", "cayley2(10; 1)", "--budget", "10"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
@@ -166,6 +176,10 @@ def test_cache_round_trip(capsys, tmp_path):
     code3, out3, err3 = _run(capsys, argv + ["--format", "table"])
     assert code3 == 0 and "K3" in out3 and not out3.startswith("{")
     assert len(list(tmp_path.glob("*.json"))) == 1
+    # the budget stays out of the key, but a hit reports this run's budget
+    code4, out4, err4 = _run(capsys, argv + ["--budget", "7"])
+    assert code4 == 0 and json.loads(out4)["meta"]["budget"] == 7
+    assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 def test_cache_key_ignores_budget_but_not_math(capsys, tmp_path):
@@ -187,3 +201,60 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_graphs_stay_graphs(capsys, monkeypatch):
+    # graph sources never become a Fraction matrix: every binding of
+    # from_graph refuses, and graph-only commands still answer
+    def refuse(G):
+        raise AssertionError("a graph source was turned into a step model")
+
+    original = models.from_graph
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "inducibility":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, refuse)
+                patched += 1
+    assert patched >= 2
+    for flavor in ("repetitive", "labeled", "spectral"):
+        _run_json(capsys, ["profile", "--t", "4", "--flavor", flavor, "C5"])
+    _run_json(capsys, ["density", "--t", "4", "--quantum", "K4+A4", "tensor(M4, K4, K3, K3)"])
+    _run_json(capsys, ["limit", "--t", "4", "--quantum", "K4+A4", "--factors", "M4, K4, K3, K3"])
+    _run_json(capsys, ["limit", "--t", "4", "--quantum", "P4", "--nested", "tensor(K3, K3)"])
+    assert all(r.passed for r in reproduce_table("headline"))
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
+
+def test_cli_import_leaves_numpy_out():
+    # only Monte Carlo needs numpy, and it imports it on first use
+    code = "import sys, inducibility.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=ROOT)
+    assert result.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "C5", "--t", "3", "--flavor", "labeled"],
+        ["density", "--t", "4", "--quantum", "C4", "union(K2:1, K2:1)"],
+        ["limit", "--t", "4", "--quantum", "P4", "--factors", "K4", "--nested", "tensor(K3, K3)"],
+    ],
+)
+def test_benchmark_tracing_runs(argv, tmp_path):
+    # bench/traced.py wraps functions by name; a rename or an argument it
+    # cannot read would break every traced benchmark run
+    spans = tmp_path / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced.py"), str(spans), *argv],
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(spans.read_text())["spans"]

@@ -16,10 +16,12 @@ from inducibility.profiles import (
     LabeledProfile,
     _repetitive_by_assignments,
     induced_profile,
+    labeled_repetitive,
     labeled_repetitive_profile,
     repetitive_from_induced,
     repetitive_profile,
 )
+from inducibility.spectral import fourier, model_spectrum
 
 orders = st.integers(2, 5)
 # half 0/1, since every fractional pair doubles the oracle's branches
@@ -85,8 +87,13 @@ def substitutions(draw):
 @settings(max_examples=60)
 @given(graphs(), orders)
 def test_repetitive_profile_of_graph_matches_oracle(G, t):
+    # the graph itself and its 0/1 model take the same route; the oracle
+    # enumerates the assignments of the model
     M = from_graph(G)
-    assert labeled_repetitive_profile(M, t) == oracle(M, t)
+    expected = oracle(M, t)
+    assert labeled_repetitive_profile(M, t) == expected
+    assert labeled_repetitive(G, t) == expected
+    assert model_spectrum(G, t) == fourier(expected)
 
 
 @settings(max_examples=60)

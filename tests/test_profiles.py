@@ -13,9 +13,9 @@ from inducibility.profiles import (
     ProfileVector,
     QuantumGraph,
     _repetitive_by_assignments,
-    _repetitive_by_subsets,
     induced_profile,
     iso_table,
+    labeled_repetitive,
     labeled_repetitive_profile,
     monte_carlo_monochromatic,
     monte_carlo_profile,
@@ -134,10 +134,9 @@ def test_repetitive_routes_agree():
     for t in (3, 4):
         for _ in range(6):
             G = _random_loopless(rng, rng.randrange(4, 8))
-            M = from_graph(G)
-            direct = _repetitive_by_assignments(M, t)
-            subset = _repetitive_by_subsets(M, t, 10**9)
-            assert direct == subset
+            direct = _repetitive_by_assignments(from_graph(G), t)
+            subset = labeled_repetitive(G, t, 10**9).values
+            assert tuple(direct) == subset
 
 
 def test_repetitive_matches_lift_of_induced():

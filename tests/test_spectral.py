@@ -19,7 +19,6 @@ from inducibility.spectral import (
     fourier,
     fwht_forward,
     fwht_inverse,
-    graph_spectrum,
     inverse_fourier,
     model_spectrum,
     product_limit_density,
@@ -68,8 +67,8 @@ def test_spectrum_validation():
 def test_reference_spectra_of_the_two_headline_factors():
     expected_k4 = (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(-1, 8), Fraction(1, 4))
     expected_m4 = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(1, 4))
-    spec_k4 = graph_spectrum(build_named("K4"), 4)
-    spec_m4 = graph_spectrum(build_named("M4"), 4)
+    spec_k4 = model_spectrum(build_named("K4"), 4)
+    spec_m4 = model_spectrum(build_named("M4"), 4)
     for name, want_k, want_m in zip(("K4", "M4", "C4", "Q4", "V4"), expected_k4, expected_m4):
         assert spec_k4.entry(name) == want_k
         assert spec_m4.entry(name) == want_m
@@ -127,7 +126,7 @@ def test_functional_agrees_with_direct_density():
         M = from_graph(G)
         Q = QuantumGraph.from_pairs(4, [("P4", Fraction(2, 3)), ("K4", -1), ("C4", Fraction(5))])
         spectral_side = sum(
-            c * v for c, v in zip(quantum_functional(Q), graph_spectrum(G, 4).type_values())
+            c * v for c, v in zip(quantum_functional(Q), model_spectrum(G, 4).type_values())
         )
         direct_side = quantum_density(Q, repetitive_profile(M, 4))
         assert spectral_side == direct_side
@@ -136,7 +135,7 @@ def test_functional_agrees_with_direct_density():
 def test_product_limit_density_equals_convolved_density():
     Q = QuantumGraph.from_pairs(4, [("K4", 1), ("A4", 1)])
     factors = [build_named("M4"), build_named("K4"), build_named("K", [3])]
-    spectra = [graph_spectrum(G, 4) for G in factors]
+    spectra = [model_spectrum(G, 4) for G in factors]
     via_spectrum = product_limit_density(Q, *spectra)
     profile = convolve(*(labeled_repetitive_profile(from_graph(G), 4) for G in factors))
     via_profile = quantum_density(Q, profile.to_unlabeled())
