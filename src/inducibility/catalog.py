@@ -14,6 +14,7 @@ call too.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,11 +54,25 @@ class ClosedFormBounds:
         )
 
 
+def max_bounds_order() -> int:
+    """Largest order whose bounds print in full: t**t, the largest number
+    they involve, has floor(t*log10(t)) + 1 digits, which must not exceed
+    sys.get_int_max_str_digits(), or CPython's default of 4300 where the
+    limit is off or, before 3.10.7, absent."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    t = 2
+    while math.floor((t + 1) * math.log10(t + 1)) + 1 <= limit:
+        t += 1
+    return t
+
+
 def closed_form_bounds(t: int) -> ClosedFormBounds:
     """Nesting lower bounds for any t-vertex graph and for graphs one
-    vertex short of a vertex-transitive graph, plus the path upper bound."""
-    if t < 2:
-        raise ValueError("order must be at least 2")
+    vertex short of a vertex-transitive graph, plus the path upper bound.
+    The order is checked before any arithmetic."""
+    top = max_bounds_order()
+    if not 2 <= t <= top:
+        raise ValueError(f"order must be in 2..{top}")
     fact = math.factorial(t)
     return ClosedFormBounds(
         t=t,

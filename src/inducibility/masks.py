@@ -4,6 +4,8 @@ A labeled graph on vertices 0..t-1 is stored as an integer mask over the
 t*(t-1)/2 vertex pairs (i, j) with i < j, taken in lexicographic order:
 bit k of the mask is pair number k.  This slot order is part of the
 serialization contract and every module indexes labeled graphs this way.
+Relabeling acts on masks, and on per-vertex loop bits, through orbits
+built by closure under adjacent transpositions.
 
 The module also precomputes, per vertex partition, the tables driving the
 composition calculus: which t-vertex slots lie within each part, and which
@@ -12,7 +14,6 @@ ones each slot of the quotient graph on the parts expands to.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,39 +35,38 @@ def slot_of(t: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def permutation_masks(t: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Relabeling action on masks, one full table per permutation.
-
-    table[mask] is the graph whose edge (i, j) is present iff the edge
-    (sigma(i), sigma(j)) is present in mask.
-    """
-    m = slot_count(t)
-    pairs = pair_slots(t)
+def _adjacent_swaps(t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per adjacent transposition (s, s+1): the pairs of slots it swaps."""
     index = slot_of(t)
-    tables = {}
-    for sigma in itertools.permutations(range(t)):
-        source = [0] * m
-        for k, (i, j) in enumerate(pairs):
-            a, b = sigma[i], sigma[j]
-            source[k] = index[(a, b) if a < b else (b, a)]
-        table = []
-        for mask in range(1 << m):
-            out = 0
-            for k in range(m):
-                if (mask >> source[k]) & 1:
-                    out |= 1 << k
-            table.append(out)
-        tables[sigma] = tuple(table)
-    return tables
+    return tuple(
+        tuple(
+            (index[(min(a, s), max(a, s))], index[(min(a, s + 1), max(a, s + 1))])
+            for a in range(t)
+            if a not in (s, s + 1)
+        )
+        for s in range(t - 1)
+    )
 
 
-def permute_bits(bits: int, sigma: tuple[int, ...]) -> int:
-    """Relabel a per-vertex bit pattern: new bit i = old bit sigma(i)."""
-    out = 0
-    for i, s in enumerate(sigma):
-        if (bits >> s) & 1:
-            out |= 1 << i
-    return out
+def orbit(t: int, mask: int, loops: int = 0) -> frozenset[tuple[int, int]]:
+    """Relabelings of the decorated graph (mask, loop bits) on t vertices,
+    as the closure under the t-1 adjacent transpositions."""
+    swaps = _adjacent_swaps(t)
+    seen = {(mask, loops)}
+    todo = [(mask, loops)]
+    while todo:
+        mask, loops = todo.pop()
+        for s, pairs in enumerate(swaps):
+            image = mask
+            for p, q in pairs:
+                flip = ((image >> p) ^ (image >> q)) & 1
+                image ^= (flip << p) | (flip << q)
+            flip = ((loops >> s) ^ (loops >> (s + 1))) & 1
+            key = (image, loops ^ ((flip << s) | (flip << (s + 1))))
+            if key not in seen:
+                seen.add(key)
+                todo.append(key)
+    return frozenset(seen)
 
 
 @lru_cache(maxsize=None)
@@ -74,50 +74,16 @@ def orbit_index(t: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(index, orbits): index[mask] is the orbit number of mask and
     orbits[k] lists the masks of orbit k.  Orbits are numbered by their
     smallest member, ascending."""
-    m = slot_count(t)
-    tables = permutation_masks(t).values()
-    index = [-1] * (1 << m)
+    index = [-1] * (1 << slot_count(t))
     orbits: list[tuple[int, ...]] = []
-    for mask in range(1 << m):
+    for mask in range(len(index)):
         if index[mask] >= 0:
             continue
-        image = sorted({table[mask] for table in tables})
-        for im in image:
-            index[im] = len(orbits)
-        orbits.append(tuple(image))
+        members = tuple(sorted(image for image, _ in orbit(t, mask)))
+        for image in members:
+            index[image] = len(orbits)
+        orbits.append(members)
     return tuple(index), tuple(orbits)
-
-
-@lru_cache(maxsize=None)
-def restriction_map(t: int, ell: int) -> tuple[int, ...]:
-    """Per t-mask, the induced mask on vertices 0..ell-1."""
-    if not 1 <= ell <= t:
-        raise ValueError("restriction order out of range")
-    small = slot_of(ell) if ell >= 2 else {}
-    moves = [(k, small[(i, j)]) for k, (i, j) in enumerate(pair_slots(t)) if j < ell]
-    table = []
-    for mask in range(1 << slot_count(t)):
-        sub = 0
-        for k, k2 in moves:
-            if (mask >> k) & 1:
-                sub |= 1 << k2
-        table.append(sub)
-    return tuple(table)
-
-
-def project_labeled(t: int, values, ell: int) -> list:
-    """Marginalize a labeled density vector down to the first ell vertices.
-
-    Sums values over all extensions of each ell-vertex graph; with labeled
-    induced densities as input this yields the order-ell labeled densities.
-    """
-    table = restriction_map(t, ell)
-    zero = values[0] * 0
-    out = [zero] * (1 << slot_count(ell))
-    for mask, v in enumerate(values):
-        if v:
-            out[table[mask]] = out[table[mask]] + v
-    return out
 
 
 @lru_cache(maxsize=None)

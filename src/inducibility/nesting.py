@@ -94,7 +94,7 @@ class TransitionMatrix:
         return self.rows[i][j]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def transition_matrix(G: LabeledGraph, t: int) -> TransitionMatrix:
     """Matrix F with F[i][j] = density of type i after composing G over a
     limit concentrated on type j.

@@ -267,65 +267,69 @@ def quantum_density(Q: QuantumGraph, prof: ProfileVector):
 
 def _decorated_subset_counts(G: LabeledGraph, ell: int) -> dict:
     """Counts of ell-subsets by (edge mask, loop bits), vertices in
-    increasing order."""
-    if ell == 4 and G.n >= 8 and G.is_loopless:
-        return {(mask, 0): c for mask, c in enumerate(_mask_counts4(G)) if c}
-    rows = G.rows
-    n = G.n
+    increasing order.
+
+    The (ell-1)-subsets are enumerated in increasing order.  The vertices
+    above the chosen ones stay in classes by their adjacency to them, split
+    first by the loop set, and the last vertex is counted a class at a time
+    by popcount.  A class is (members, code): bit i of code is adjacency to
+    the i-th chosen vertex and bit ell is the loop.
+    """
+    n, rows = G.n, G.rows
+    m = masks.slot_count(ell)
     slot = masks.slot_of(ell) if ell >= 2 else {}
-    slots = [[slot[(i, d)] for i in range(d)] for d in range(ell)]
-    counts: dict = {}
-    chosen = [0] * ell
-
-    def rec(start: int, depth: int, mask: int, loopbits: int) -> None:
-        if depth == ell:
-            key = (mask, loopbits)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        for v in range(start, n - (ell - depth) + 1):
-            row = rows[v]
-            m2 = mask
-            for i in range(depth):
-                if (row >> chosen[i]) & 1:
-                    m2 |= 1 << slots[depth][i]
-            chosen[depth] = v
-            rec(v + 1, depth + 1, m2, loopbits | (((row >> v) & 1) << depth))
-
-    rec(0, 0, 0, 0)
-    return counts
-
-
-def _mask_counts4(G: LabeledGraph) -> list[int]:
-    """Induced 4-subset counts per mask, via triples plus bitset classes of
-    the largest vertex.  Much faster than enumerating 4-subsets."""
-    n = G.n
-    rows = G.rows
-    counts = [0] * 64
+    # key[d][code]: the slots and loop bit that the d-th vertex adds to a
+    # pattern, packed as mask | loop bits << m
+    key = [
+        [
+            sum(1 << slot[(i, d)] for i in range(d) if (code >> i) & 1) | (((code >> ell) & 1) << (m + d))
+            for code in range(2 << ell)
+        ]
+        for d in range(ell)
+    ]
+    last = key[ell - 1]
+    counts = [0] * (1 << (m + ell))
     full = (1 << n) - 1
-    for u in range(n - 3):
-        ru = rows[u]
-        for v in range(u + 1, n - 2):
-            rv = rows[v]
-            b01 = (ru >> v) & 1
-            for w in range(v + 1, n - 1):
-                rest = (full >> (w + 1)) << (w + 1)
-                base = b01 | (((ru >> w) & 1) << 1) | (((rv >> w) & 1) << 3)
-                rw = rows[w]
-                a = ru & rest
-                b = rv & rest
-                c = rw & rest
-                na = rest ^ a
-                nb = rest ^ b
-                nc = rest ^ c
-                counts[base] += (na & nb & nc).bit_count()
-                counts[base | 4] += (a & nb & nc).bit_count()
-                counts[base | 16] += (na & b & nc).bit_count()
-                counts[base | 32] += (na & nb & c).bit_count()
-                counts[base | 20] += (a & b & nc).bit_count()
-                counts[base | 36] += (a & nb & c).bit_count()
-                counts[base | 48] += (na & b & c).bit_count()
-                counts[base | 52] += (a & b & c).bit_count()
-    return counts
+    looped = sum(1 << v for v in range(n) if (rows[v] >> v) & 1)
+    start = [(members, code) for members, code in ((full ^ looped, 0), (looped, 1 << ell)) if members]
+
+    def descend(depth: int, pattern: int, classes: list) -> None:
+        bit = 1 << depth
+        here = key[depth]
+        # when the next vertex is the last, its classes are counted by popcount
+        fused = depth + 2 == ell
+        targets = [(rest, last[code | bit], last[code]) for rest, code in classes] if fused else ()
+        for members, code in classes:
+            base = pattern | here[code]
+            while members:
+                low = members & -members
+                members ^= low
+                above = full ^ ((low << 1) - 1)
+                row = rows[low.bit_length() - 1]
+                if fused:
+                    for rest, adjacent, apart in targets:
+                        rest &= above
+                        hit = rest & row
+                        counts[base | adjacent] += hit.bit_count()
+                        counts[base | apart] += (rest ^ hit).bit_count()
+                    continue
+                refined = []
+                for rest, code2 in classes:
+                    rest &= above
+                    hit = rest & row
+                    if hit:
+                        refined.append((hit, code2 | bit))
+                    if rest ^ hit:
+                        refined.append((rest ^ hit, code2))
+                descend(depth + 1, base, refined)
+
+    if ell == 1:
+        for members, code in start:
+            counts[last[code]] += members.bit_count()
+    else:
+        descend(0, 0, start)
+    low_mask = (1 << m) - 1
+    return {(k & low_mask, k >> m): c for k, c in enumerate(counts) if c}
 
 
 def induced_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
@@ -385,16 +389,20 @@ def _repetitive_by_assignments(M: StepModel, t: int) -> list:
     return out
 
 
-def _ordered_pattern_counts(G: LabeledGraph, ell: int) -> dict:
-    """Counts of ordered tuples of distinct vertices per decorated pattern."""
-    unordered = _decorated_subset_counts(G, ell)
-    tables = masks.permutation_masks(ell)
-    counts: dict = {}
-    for (mask, loops), cnt in unordered.items():
-        for sigma, table in tables.items():
-            key = (table[mask], masks.permute_bits(loops, sigma) if loops else 0)
-            counts[key] = counts.get(key, 0) + cnt
-    return counts
+def _ordered(ell: int, unordered: dict) -> dict:
+    """Ordered pattern counts from counts of ell-subsets: every member of a
+    pattern's orbit gets the orbit's unordered total times ell!/|orbit|,
+    the number of orderings of one subset that produce it."""
+    out: dict = {}
+    fact = math.factorial(ell)
+    for pattern in unordered:
+        if pattern in out:
+            continue
+        members = masks.orbit(ell, *pattern)
+        share = sum(unordered.get(k, 0) for k in members) * (fact // len(members))
+        for k in members:
+            out[k] = share
+    return out
 
 
 def check_subset_budget(n: int, t: int, budget: int) -> None:
@@ -408,7 +416,7 @@ def check_subset_budget(n: int, t: int, budget: int) -> None:
 def ordered_counts(G: LabeledGraph, t: int) -> dict:
     """Ordered decorated pattern counts of G at every order 1..t, the input
     of partition_lift; orders above G.n have no patterns."""
-    return {ell: _ordered_pattern_counts(G, ell) for ell in range(1, min(G.n, t) + 1)}
+    return {ell: _ordered(ell, _decorated_subset_counts(G, ell)) for ell in range(1, min(G.n, t) + 1)}
 
 
 def _expand(bits: int, slot_masks) -> int:
@@ -501,21 +509,26 @@ def repetitive_profile(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
 
 def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     """Repetitive profile of a loopless s-vertex graph from its induced
-    t-profile: the ordered ell-patterns number (s)_ell times the labeled
-    induced densities, which marginalize out of P.  P need not come from
-    an actual graph, so these counts stay rationals."""
+    t-profile.  Each ell-subset lies in C(s-ell, t-ell) of the t-subsets,
+    so its unordered ell-pattern counts are those of the type
+    representatives weighted by P[type] * C(s, ell) / C(t, ell).  P need not
+    come from an actual graph, so these counts stay rationals."""
     if P.flavor != "induced":
         raise ValueError("expected an induced profile")
     if t != P.t:
         raise ValueError("order mismatch")
     if s < t:
         raise ValueError("source graph must have at least t vertices")
-    p_full = P.as_labeled().values
+    reps = [(graph_from_mask(t, e.rep_mask), v) for e, v in zip(iso_table(t).entries, P.values) if v]
     ordered = {}
     for ell in range(1, t + 1):
-        p_ell = p_full if ell == t else masks.project_labeled(t, p_full, ell)
-        falling = math.perm(s, ell)
-        ordered[ell] = {(mask, 0): v * falling for mask, v in enumerate(p_ell) if v}
+        scale = Fraction(math.comb(s, ell), math.comb(t, ell))
+        scale = scale if P.exact else float(scale)
+        unordered: dict = {}
+        for R, value in reps:
+            for pattern, c in _decorated_subset_counts(R, ell).items():
+                unordered[pattern] = unordered.get(pattern, 0) + value * scale * c
+        ordered[ell] = _ordered(ell, unordered)
     values = divide(partition_lift(t, ordered), s ** t, P.exact)
     return LabeledProfile(t=t, flavor="r", values=values, exact=P.exact).to_unlabeled()
 

@@ -10,6 +10,7 @@ from inducibility.catalog import (
     CatalogRow,
     catalog_rows,
     closed_form_bounds,
+    max_bounds_order,
     reproduce_table,
     run_row,
 )
@@ -28,8 +29,13 @@ def test_closed_form_bounds_known_values():
     assert b5.path_upper == Fraction(15, 64)
     names = dict(b4.named())
     assert names["path-upper"] == Fraction(4, 9)
-    with pytest.raises(ValueError):
-        closed_form_bounds(1)
+    # the order is refused before any arithmetic, up to the largest one
+    # whose values still convert to decimal text
+    top = max_bounds_order()
+    assert str(closed_form_bounds(top).self_nesting_lower.denominator)
+    for t in (1, top + 1, 200000):
+        with pytest.raises(ValueError, match=f"order must be in 2..{top}"):
+            closed_form_bounds(t)
 
 
 def test_catalog_tables_are_registered():

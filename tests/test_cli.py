@@ -150,6 +150,7 @@ def test_error_paths_exit_two(capsys):
         ["nested-profile", "--t", "4", "--budget", "1", "C5"],
         ["profile", "--t", "3", "--budget", "10", "cayley2(11; 1)"],
         ["limit", "--t", "4", "--quantum", "P4", "--factors", "cayley2(10; 1)", "--budget", "10"],
+        ["bounds", "--t", "200000"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv

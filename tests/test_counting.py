@@ -1,0 +1,75 @@
+"""The bitset-class pattern counter and the mask orbits against brute force
+over vertex subsets, vertex tuples and permutations."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from inducibility.graphs import from_edges, graph_from_mask, mask_of_vertices
+from inducibility.masks import orbit, orbit_index, pair_slots, slot_count
+from inducibility.profiles import _decorated_subset_counts, ordered_counts
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = pair_slots(n)
+    edge_bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    loop_bits = draw(st.integers(0, (1 << n) - 1))
+    edges = [p for k, p in enumerate(pairs) if (edge_bits >> k) & 1]
+    return from_edges(n, edges, [v for v in range(n) if (loop_bits >> v) & 1])
+
+
+def pattern(G, vertices) -> tuple[int, int]:
+    """(edge mask, loop bits) induced by an ordered vertex tuple."""
+    loops = sum(((G.rows[v] >> v) & 1) << i for i, v in enumerate(vertices))
+    return mask_of_vertices(G, vertices), loops
+
+
+def brute_orbit(t: int, mask: int, loops: int = 0) -> set:
+    G = graph_from_mask(t, mask, loops)
+    return {pattern(G, sigma) for sigma in itertools.permutations(range(t))}
+
+
+@settings(max_examples=200)
+@given(graphs(max_n=14), st.integers(1, 5))
+def test_subset_counts_match_brute_force(G, ell):
+    expected = Counter(pattern(G, c) for c in itertools.combinations(range(G.n), ell))
+    assert _decorated_subset_counts(G, ell) == dict(expected)
+
+
+@settings(max_examples=100)
+@given(graphs(max_n=7), st.integers(1, 5))
+def test_ordered_counts_match_vertex_tuples(G, t):
+    counts = ordered_counts(G, t)
+    assert sorted(counts) == list(range(1, min(G.n, t) + 1))
+    for ell, got in counts.items():
+        assert got == dict(Counter(pattern(G, p) for p in itertools.permutations(range(G.n), ell)))
+
+
+def test_orbit_index_matches_permutations():
+    for t in range(2, 6):
+        index, orbits = orbit_index(t)
+        assert len(index) == 1 << slot_count(t)
+        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+        assert sum(len(o) for o in orbits) == len(index)
+        for k, members in enumerate(orbits):
+            images = brute_orbit(t, members[0])
+            assert members == tuple(sorted(mask for mask, _ in images))
+            assert orbit(t, members[0]) == images
+            assert all(index[mask] == k for mask in members)
+            assert math.factorial(t) % len(members) == 0
+
+
+def test_decorated_orbits_match_permutations():
+    for t in range(1, 5):
+        for mask in range(1 << slot_count(t)):
+            for loops in range(1 << t):
+                members = orbit(t, mask, loops)
+                assert members == brute_orbit(t, mask, loops)
+                assert math.factorial(t) % len(members) == 0
