@@ -90,13 +90,17 @@ class CatalogRow:
     t: int
     mode: str               # model | nested | product
     expected: str
-    comparison: str         # exact | approx
     target: str = ""        # quantum expression over type names
     target_edges: tuple = ()
     construction: str = ""  # model source or nested base
     factors: str = ""       # product mode: plain factors, comma separated
     nested_factor: str = ""  # product mode: nested base
     approx: bool = False    # evaluate numeric weights as floats
+
+    @property
+    def comparison(self) -> str:
+        """exact, or approx (within APPROX_TOL) for rows evaluated in floats."""
+        return "approx" if self.approx else "exact"
 
     def quantum(self) -> QuantumGraph:
         if self.target:
@@ -174,10 +178,10 @@ def run_row(row: CatalogRow) -> BoundReport:
     else:
         raise ValueError(f"unknown row mode {row.mode!r}")
     expected = Fraction(row.expected)
-    if row.comparison == "exact":
-        passed = computed == expected
-    else:
+    if row.approx:
         passed = abs(float(computed) - float(expected)) <= APPROX_TOL
+    else:
+        passed = computed == expected
     return BoundReport(
         row=row,
         computed=computed,
@@ -199,7 +203,7 @@ def reproduce_table(which: str) -> list:
     return [run_row(row) for row in catalog_rows(which)]
 
 
-def _model_row(row_id, t, target, construction, expected, comparison="exact", approx=False, edges=None):
+def _model_row(row_id, t, target, construction, expected, approx=False, edges=None):
     return CatalogRow(
         row_id=row_id,
         t=t,
@@ -208,7 +212,6 @@ def _model_row(row_id, t, target, construction, expected, comparison="exact", ap
         target_edges=tuple(edges) if edges is not None else (),
         construction=construction,
         expected=expected,
-        comparison=comparison,
         approx=approx,
     )
 
@@ -222,7 +225,6 @@ def _nested_row(row_id, t, target, construction, expected, edges=None):
         target_edges=tuple(edges) if edges is not None else (),
         construction=construction,
         expected=expected,
-        comparison="exact",
     )
 
 
@@ -235,7 +237,6 @@ def _product_row(row_id, t, target, factors, expected, nested_factor=""):
         factors=factors,
         nested_factor=nested_factor,
         expected=expected,
-        comparison="exact",
     )
 
 
@@ -282,20 +283,20 @@ _APPENDIX5_ROWS = (
     _model_row("appendix5-08", 5, None, "union(K2:1, K2:2, K2:2)", "0.2784",
                edges=[(2, 4), (2, 0)]),
     _model_row("appendix5-09", 5, None, f"union(loopK1:1, loopK1:{ALPHA_TEXT})", "5/12",
-               comparison="approx", approx=True,
+               approx=True,
                edges=[(0, 1), (0, 4), (1, 4), (0, 3), (1, 3), (4, 3)]),
     _model_row("appendix5-10", 5, None, f"union(K2:1, K2:{ALPHA_TEXT})", "5/24",
-               comparison="approx", approx=True,
+               approx=True,
                edges=[(1, 2), (0, 2), (2, 4)]),
     _model_row("appendix5-11", 5, None, f"union(K2:1, K2:{ALPHA_TEXT})", "5/32",
-               comparison="approx", approx=True,
+               approx=True,
                edges=[(4, 1), (1, 3), (0, 3), (4, 0)]),
     _model_row("appendix5-12", 5, None,
                f"union({_TWO_BIPARTITE_C}:1, {_TWO_BIPARTITE_C}:{ALPHA_TEXT})", "0.15625",
-               comparison="approx", approx=True,
+               approx=True,
                edges=[(0, 4), (0, 2), (4, 2), (0, 3)]),
     _model_row("appendix5-13", 5, None, f"union(K5:1, K5:{ALPHA_TEXT})", "0.24",
-               comparison="approx", approx=True,
+               approx=True,
                edges=[(0, 1), (1, 4), (0, 3), (1, 3), (4, 3)]),
     _nested_row("appendix5-14", 5, None, "C5", "1/26",
                 edges=[(1, 2), (4, 3), (2, 3), (0, 4), (1, 0)]),

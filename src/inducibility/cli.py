@@ -30,6 +30,7 @@ from .profiles import (
 from .spectral import model_spectrum
 
 _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +166,7 @@ def _run_limit(args) -> dict:
 
 def _run_estimate(args) -> dict:
     source = evaluate(parse_expr(args.expr), approx=args.approx)
-    est = monte_carlo_profile(source, args.t, args.samples, args.seed)
+    est = monte_carlo_profile(source, args.t, args.samples, args.seed, **_budget_kwargs(args))
     names = iso_table(args.t).type_names()
     return _profile_payload(
         "estimate", args.t, names, est.values, args, seed=args.seed, stderr=est.stderr
@@ -331,13 +332,18 @@ def run_command(argv) -> int:
             payload = _RUNNERS[args.command](args)
             if args.cache:
                 _cache_store(args.cache, key, payload)
-    except BrokenPipeError:
-        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render_json(payload) if args.format == "json" else _render_table(payload)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     if payload["command"] == "tables" and not all(r["passed"] for r in payload["rows"]):
         return 1
     return 0

@@ -7,14 +7,14 @@ with zero cross probability, and tensor products combine entrywise.  Pair
 events are independent given the types, and the diagonal entry w[i][i]
 governs pairs of samples landing on the same type.
 
-A model is tagged exact (Fraction entries) or approximate (float entries)
-at construction; the two never mix silently.  Approximate mode exists for
-irrational mass ratios only.
+A model is exact when none of its masses and probabilities is a float, and
+one float entry makes it approximate; nothing else decides it.  Approximate
+models exist for irrational mass ratios only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import LabeledGraph
@@ -22,16 +22,10 @@ from .graphs import LabeledGraph
 APPROX_TOL = 1e-9  # float comparisons of approximate models, profiles and table rows
 
 
-def _coerce(x, exact: bool):
-    if exact:
-        if isinstance(x, float):
-            raise ValueError("float input in exact mode; pass a Fraction or string")
-        return Fraction(x)
-    return float(x)
-
-
-def _is_float(x) -> bool:
-    return isinstance(x, float)
+def is_exact(values) -> bool:
+    """True when none of the numbers is a float: exact models and profiles
+    hold integers and Fractions, and one float makes them approximate."""
+    return not any(isinstance(v, float) for v in values)
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,7 @@ class StepModel:
 
     masses: tuple
     w: tuple
-    exact: bool
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.masses)
@@ -52,11 +46,9 @@ class StepModel:
         for mu in self.masses:
             if mu <= 0:
                 raise ValueError("masses must be positive")
-        total = sum(self.masses)
-        if self.exact:
-            if total != 1:
-                raise ValueError("masses must sum to one")
-        elif abs(total - 1.0) > APPROX_TOL:
+        exact = is_exact(self.masses) and all(is_exact(row) for row in self.w)
+        object.__setattr__(self, "exact", exact)
+        if abs(sum(self.masses) - 1) > (0 if exact else APPROX_TOL):
             raise ValueError("masses must sum to one")
         for i in range(k):
             for j in range(k):
@@ -85,24 +77,20 @@ def from_graph(G: LabeledGraph) -> StepModel:
     w = tuple(
         tuple(Fraction((G.rows[u] >> v) & 1) for v in range(n)) for u in range(n)
     )
-    return StepModel(masses=masses, w=w, exact=True)
+    return StepModel(masses=masses, w=w)
 
 
 def bernoulli(p) -> StepModel:
     """One type; every pair is an edge independently with probability p."""
-    exact = not _is_float(p)
-    q = _coerce(p, exact)
-    one = Fraction(1) if exact else 1.0
-    return StepModel(masses=(one,), w=((q,),), exact=exact)
+    q = p if isinstance(p, float) else Fraction(p)
+    return StepModel(masses=(type(q)(1),), w=((q,),))
 
 
 def bipartite_random(p) -> StepModel:
     """Two equal sides, cross pairs with probability p, sides internally empty."""
-    exact = not _is_float(p)
-    q = _coerce(p, exact)
-    half = Fraction(1, 2) if exact else 0.5
-    zero = Fraction(0) if exact else 0.0
-    return StepModel(masses=(half, half), w=((zero, q), (q, zero)), exact=exact)
+    q = p if isinstance(p, float) else Fraction(p)
+    half, zero = type(q)(1) / 2, type(q)(0)
+    return StepModel(masses=(half, half), w=((zero, q), (q, zero)))
 
 
 def model_union(parts) -> StepModel:
@@ -118,21 +106,15 @@ def model_union(parts) -> StepModel:
     weights = [wt for _, wt in parts]
     if any(wt <= 0 for wt in weights):
         raise ValueError("union weights must be positive")
-    exact = all(m.exact for m, _ in parts) and not any(_is_float(wt) for wt in weights)
-    if exact:
-        weights = [Fraction(wt) for wt in weights]
-        total = sum(weights)
-        zero = Fraction(0)
-    else:
-        weights = [float(wt) for wt in weights]
-        total = float(sum(weights))
-        zero = 0.0
+    exact = all(m.exact for m, _ in parts) and is_exact(weights)
+    weights = [Fraction(wt) if exact else float(wt) for wt in weights]
+    total = sum(weights)
+    zero = Fraction(0) if exact else 0.0
     masses = []
     for (model, _), wt in zip(parts, weights):
         scale = wt / total
-        for mu in model.masses:
-            mu = mu if exact else float(mu)
-            masses.append(mu * scale)
+        # a float scale turns every mass into a float
+        masses.extend(mu * scale for mu in model.masses)
     k = len(masses)
     w = [[zero] * k for _ in range(k)]
     offset = 0
@@ -142,7 +124,7 @@ def model_union(parts) -> StepModel:
                 p = model.w[i][j]
                 w[offset + i][offset + j] = p if exact else float(p)
         offset += model.k
-    return StepModel(masses=tuple(masses), w=tuple(tuple(row) for row in w), exact=exact)
+    return StepModel(masses=tuple(masses), w=tuple(tuple(row) for row in w))
 
 
 def model_tensor(M1: StepModel, M2: StepModel) -> StepModel:
@@ -163,11 +145,10 @@ def model_tensor(M1: StepModel, M2: StepModel) -> StepModel:
                     q = conv(M2.w[i2][j2])
                     row.append(p + q - 2 * p * q)
             w.append(tuple(row))
-    return StepModel(masses=masses, w=tuple(w), exact=exact)
+    return StepModel(masses=masses, w=tuple(w))
 
 
 def model_complement(M: StepModel) -> StepModel:
     """Flip every probability, diagonal included."""
-    one = Fraction(1) if M.exact else 1.0
-    w = tuple(tuple(one - p for p in row) for row in M.w)
-    return StepModel(masses=M.masses, w=w, exact=M.exact)
+    w = tuple(tuple(1 - p for p in row) for row in M.w)
+    return StepModel(masses=M.masses, w=w)

@@ -55,8 +55,7 @@ def compose_profile(G: LabeledGraph, inner: LabeledProfile) -> LabeledProfile:
     t = inner.t
     weights = {mask: v for mask, v in enumerate(inner.values) if v}
     nums = partition_lift(t, _outer_counts(G, t), weights)
-    values = divide(nums, G.n ** t, inner.exact)
-    return LabeledProfile(t=t, flavor="r", values=values, exact=inner.exact)
+    return LabeledProfile(t=t, flavor="r", values=divide(nums, G.n ** t))
 
 
 def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:

@@ -29,7 +29,7 @@ from .graphs import (
     graph_from_mask,
     mask_of,
 )
-from .models import APPROX_TOL, StepModel
+from .models import APPROX_TOL, StepModel, is_exact
 
 MIN_ORDER = 2
 MAX_ORDER = 5
@@ -135,18 +135,12 @@ def iso_table(t: int) -> IsoTable:
     return IsoTable(t=t, entries=tuple(entries), index=index, names=name_map)
 
 
-def _validate_distribution(values, exact: bool, what: str) -> None:
-    total = sum(values)
-    if exact:
-        if total != 1:
-            raise ValueError(f"{what} must sum to one")
-        if any(v < 0 for v in values):
-            raise ValueError(f"{what} must be nonnegative")
-    else:
-        if abs(total - 1.0) > APPROX_TOL:
-            raise ValueError(f"{what} must sum to one")
-        if any(v < -APPROX_TOL for v in values):
-            raise ValueError(f"{what} must be nonnegative")
+def _validate_distribution(values, what: str) -> None:
+    tol = 0 if is_exact(values) else APPROX_TOL
+    if abs(sum(values) - 1) > tol:
+        raise ValueError(f"{what} must sum to one")
+    if any(v < -tol for v in values):
+        raise ValueError(f"{what} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -156,14 +150,17 @@ class ProfileVector:
     t: int
     flavor: str
     values: tuple
-    exact: bool = True
 
     def __post_init__(self):
         if self.flavor not in ("induced", "repetitive"):
             raise ValueError("flavor must be induced or repetitive")
         if len(self.values) != len(iso_table(self.t).entries):
             raise ValueError("value count does not match the type table")
-        _validate_distribution(self.values, self.exact, "profile entries")
+        _validate_distribution(self.values, "profile entries")
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.values)
 
     def entry(self, key):
         return self.values[iso_table(self.t).type_index(key)]
@@ -176,7 +173,7 @@ class ProfileVector:
             for mask in e.orbit:
                 out[mask] = share
         flavor = "p" if self.flavor == "induced" else "r"
-        return LabeledProfile(t=self.t, flavor=flavor, values=tuple(out), exact=self.exact)
+        return LabeledProfile(t=self.t, flavor=flavor, values=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -186,29 +183,30 @@ class LabeledProfile:
     t: int
     flavor: str
     values: tuple
-    exact: bool = True
 
     def __post_init__(self):
         if self.flavor not in ("p", "r"):
             raise ValueError("labeled flavor must be p or r")
         if len(self.values) != 1 << masks.slot_count(self.t):
             raise ValueError("value count does not match the mask space")
-        _validate_distribution(self.values, self.exact, "labeled entries")
+        _validate_distribution(self.values, "labeled entries")
+        tol = 0 if self.exact else APPROX_TOL
         for e in iso_table(self.t).entries:
             ref = self.values[e.rep_mask]
             for mask in e.orbit:
                 v = self.values[mask]
-                if self.exact:
-                    if v != ref:
-                        raise ValueError("labeled profile is not constant on orbits")
-                elif abs(v - ref) > APPROX_TOL:
+                if v != ref and abs(v - ref) > tol:
                     raise ValueError("labeled profile is not constant on orbits")
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.values)
 
     def to_unlabeled(self) -> ProfileVector:
         table = iso_table(self.t)
         vals = tuple(self.values[e.rep_mask] * e.orbit_size for e in table.entries)
         flavor = "induced" if self.flavor == "p" else "repetitive"
-        return ProfileVector(t=self.t, flavor=flavor, values=vals, exact=self.exact)
+        return ProfileVector(t=self.t, flavor=flavor, values=vals)
 
 
 @dataclass(frozen=True)
@@ -462,9 +460,10 @@ def partition_lift(t: int, ordered: dict, inner=None) -> list:
     return out
 
 
-def divide(numerators, denominator: int, exact: bool = True) -> tuple:
-    """Divide the numerators of partition_lift by their total weight."""
-    if exact:
+def divide(numerators, denominator: int) -> tuple:
+    """Divide the numerators of partition_lift by their total weight, into
+    Fractions unless one numerator is a float."""
+    if is_exact(numerators):
         return tuple(Fraction(v, denominator) for v in numerators)
     return tuple(v / denominator for v in numerators)
 
@@ -494,7 +493,7 @@ def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
             "consider monte_carlo_profile"
         )
     values = _repetitive_by_assignments(source, t)
-    return LabeledProfile(t=t, flavor="r", values=tuple(values), exact=source.exact)
+    return LabeledProfile(t=t, flavor="r", values=tuple(values))
 
 
 def labeled_repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
@@ -523,24 +522,23 @@ def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     ordered = {}
     for ell in range(1, t + 1):
         scale = Fraction(math.comb(s, ell), math.comb(t, ell))
-        scale = scale if P.exact else float(scale)
         unordered: dict = {}
         for R, value in reps:
             for pattern, c in _decorated_subset_counts(R, ell).items():
                 unordered[pattern] = unordered.get(pattern, 0) + value * scale * c
         ordered[ell] = _ordered(ell, unordered)
-    values = divide(partition_lift(t, ordered), s ** t, P.exact)
-    return LabeledProfile(t=t, flavor="r", values=values, exact=P.exact).to_unlabeled()
+    values = divide(partition_lift(t, ordered), s ** t)
+    return LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
 
 
-def _adjacency_array(G: LabeledGraph):
+def _packed_adjacency(G: LabeledGraph):
+    """n x ceil(n/8) uint8 adjacency rows: u ~ v is packed[u, v >> 3] >> (v & 7) & 1."""
     import numpy as np
     nbytes = (G.n + 7) // 8
     raw = np.frombuffer(
         b"".join(row.to_bytes(nbytes, "little") for row in G.rows), dtype=np.uint8
     )
-    bits = np.unpackbits(raw.reshape(G.n, nbytes), axis=1, bitorder="little")
-    return bits[:, : G.n].astype(np.uint8)
+    return raw.reshape(G.n, nbytes)
 
 
 @dataclass(frozen=True)
@@ -574,7 +572,7 @@ def _sample_masks(source, t, rng, count, pairs):
     """Yield int64 mask arrays for `count` samples from a graph or model."""
     import numpy as np
     if isinstance(source, LabeledGraph):
-        adj = _adjacency_array(source)
+        packed = _packed_adjacency(source)
         n = source.n
         done = 0
         while done < count:
@@ -582,7 +580,8 @@ def _sample_masks(source, t, rng, count, pairs):
             verts = rng.integers(0, n, size=(batch, t))
             mask = np.zeros(batch, dtype=np.int64)
             for slot, (i, j) in enumerate(pairs):
-                mask |= adj[verts[:, i], verts[:, j]].astype(np.int64) << slot
+                v = verts[:, j]
+                mask |= ((packed[verts[:, i], v >> 3] >> (v & 7)) & 1) << slot
             yield mask
             done += batch
     else:
@@ -603,14 +602,17 @@ def _sample_masks(source, t, rng, count, pairs):
             done += batch
 
 
-def monte_carlo_profile(source, t: int, samples: int, seed: int, shards: int = MC_SHARDS) -> EstimatedProfile:
+def monte_carlo_profile(source, t: int, samples: int, seed: int, shards: int = MC_SHARDS,
+                        budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> EstimatedProfile:
     """Estimate the repetitive t-profile of a graph or model by seeded
     sampling; shard seeds are derived deterministically so the result does
-    not depend on how shards are scheduled."""
+    not depend on how shards are scheduled.  The budget bounds the samples."""
     import numpy as np
     _check_order(t)
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > budget:
+        raise BudgetError(f"{samples} samples exceed the budget of {budget}")
     if not isinstance(source, (LabeledGraph, StepModel)):
         raise TypeError("source must be a LabeledGraph or StepModel")
     table = iso_table(t)

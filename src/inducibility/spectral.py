@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import masks
-from .models import APPROX_TOL
+from .models import APPROX_TOL, is_exact
 from .profiles import (
     DEFAULT_ASSIGNMENT_BUDGET,
     LabeledProfile,
@@ -44,7 +44,7 @@ def fwht_forward(values) -> list:
 def fwht_inverse(values) -> list:
     vec = fwht_forward(values)
     n = len(vec)
-    if isinstance(vec[0], float):
+    if not is_exact(vec):
         return [v / n for v in vec]
     return [Fraction(v, n) if not isinstance(v, Fraction) else v / n for v in vec]
 
@@ -59,7 +59,6 @@ class SpectralProfile:
 
     t: int
     values: tuple
-    exact: bool = True
 
     def __post_init__(self):
         if len(self.values) != 1 << masks.slot_count(self.t):
@@ -74,6 +73,10 @@ class SpectralProfile:
             for mask in e.orbit:
                 if abs(self.values[mask] - ref) > tol:
                     raise ValueError("spectrum is not constant on orbits")
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.values)
 
     def entry(self, key):
         return self.values[iso_table(self.t).entries[iso_table(self.t).type_index(key)].rep_mask]
@@ -95,12 +98,12 @@ def _as_labeled_r(profile) -> LabeledProfile:
 def fourier(profile) -> SpectralProfile:
     """Transform of a repetitive profile (labeled or by-type)."""
     lab = _as_labeled_r(profile)
-    return SpectralProfile(t=lab.t, values=tuple(fwht_forward(lab.values)), exact=lab.exact)
+    return SpectralProfile(t=lab.t, values=tuple(fwht_forward(lab.values)))
 
 
 def inverse_fourier(spectrum: SpectralProfile) -> LabeledProfile:
     vals = fwht_inverse(spectrum.values)
-    return LabeledProfile(t=spectrum.t, flavor="r", values=tuple(vals), exact=spectrum.exact)
+    return LabeledProfile(t=spectrum.t, flavor="r", values=tuple(vals))
 
 
 def spectral_product(*spectra: SpectralProfile) -> SpectralProfile:
@@ -113,7 +116,7 @@ def spectral_product(*spectra: SpectralProfile) -> SpectralProfile:
     out = list(spectra[0].values)
     for s in spectra[1:]:
         out = [a * b for a, b in zip(out, s.values)]
-    return SpectralProfile(t=t, values=tuple(out), exact=all(s.exact for s in spectra))
+    return SpectralProfile(t=t, values=tuple(out))
 
 
 def convolve(*profiles) -> LabeledProfile:

@@ -47,6 +47,14 @@ def test_catalog_tables_are_registered():
     assert len(catalog_rows("appendix5")) == 18
 
 
+def test_comparison_follows_approx():
+    rows = [row for which in TABLES for row in catalog_rows(which)]
+    assert sum(row.approx for row in rows) == 5
+    assert all(row.comparison == ("approx" if row.approx else "exact") for row in rows)
+    with pytest.raises(TypeError):
+        CatalogRow(row_id="x", t=4, mode="model", expected="1", comparison="approx", target="K4")
+
+
 def test_exoo4_table_reproduces():
     reports = reproduce_table("exoo4")
     assert all(r.passed for r in reports)
@@ -64,7 +72,7 @@ def test_single_row_runner():
 
 def test_unknown_row_mode_rejected():
     row = CatalogRow(
-        row_id="x", t=4, mode="bogus", expected="1", comparison="exact", target="K4",
+        row_id="x", t=4, mode="bogus", expected="1", target="K4",
     )
     with pytest.raises(ValueError):
         run_row(row)
@@ -80,7 +88,7 @@ def test_unknown_row_mode_rejected():
 )
 def test_nested_base_must_be_a_graph(mode, fields, message):
     # rows share the CLI's checks: a model cannot be nested
-    row = CatalogRow(row_id="x", t=4, mode=mode, expected="1", comparison="exact", target="K4", **fields)
+    row = CatalogRow(row_id="x", t=4, mode=mode, expected="1", target="K4", **fields)
     with pytest.raises(ValueError, match=message):
         run_row(row)
 

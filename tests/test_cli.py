@@ -12,7 +12,7 @@ import pytest
 import inducibility.cli as cli
 from inducibility import models
 from inducibility.catalog import reproduce_table
-from inducibility.cli import run_command
+from inducibility.cli import EXIT_BROKEN_PIPE, run_command
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -151,6 +151,7 @@ def test_error_paths_exit_two(capsys):
         ["profile", "--t", "3", "--budget", "10", "cayley2(11; 1)"],
         ["limit", "--t", "4", "--quantum", "P4", "--factors", "cayley2(10; 1)", "--budget", "10"],
         ["bounds", "--t", "200000"],
+        ["estimate", "--t", "3", "--samples", "100000000000", "--budget", "10", "--seed", "1", "C5"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
@@ -232,6 +233,21 @@ def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     return env
+
+
+def test_broken_pipe_exits_without_traceback():
+    # the reader is gone before the first write, as when `| head` exits early
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "inducibility", "bounds", "--t", "4"],
+            env=_src_env(), cwd=ROOT, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_BROKEN_PIPE
+    assert result.stderr == b""
 
 
 def test_cli_import_leaves_numpy_out():

@@ -14,23 +14,24 @@ from inducibility.models import (
     model_tensor,
     model_union,
 )
+from inducibility.profiles import LabeledProfile, ProfileVector, labeled_repetitive, repetitive_profile
+from inducibility.spectral import SpectralProfile, model_spectrum
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        StepModel(masses=(), w=(), exact=True)
+        StepModel(masses=(), w=())
     with pytest.raises(ValueError):
-        StepModel(masses=(Fraction(1, 2),), w=((Fraction(0),),), exact=True)
+        StepModel(masses=(Fraction(1, 2),), w=((Fraction(0),),))
     with pytest.raises(ValueError):
         StepModel(
             masses=(Fraction(1, 2), Fraction(1, 2)),
             w=((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),
-            exact=True,
         )
     with pytest.raises(ValueError):
-        StepModel(masses=(Fraction(1),), w=((Fraction(3, 2),),), exact=True)
+        StepModel(masses=(Fraction(1),), w=((Fraction(3, 2),),))
     with pytest.raises(ValueError):
-        StepModel(masses=(Fraction(1, 2), Fraction(1, 2)), w=((Fraction(0),),), exact=True)
+        StepModel(masses=(Fraction(1, 2), Fraction(1, 2)), w=((Fraction(0),),))
 
 
 def test_from_graph_copies_adjacency():
@@ -94,3 +95,43 @@ def test_complement_flips_diagonal_too():
     B = model_complement(bernoulli(0.3))
     assert not B.exact
     assert abs(B.w[0][0] - 0.7) < 1e-12
+
+
+def test_one_float_entry_makes_a_model_approximate():
+    M = StepModel(masses=(0.5, 0.5), w=((0.25, 1.0), (1.0, 0.0)))
+    assert not M.exact
+    assert not repetitive_profile(M, 3).exact
+    half = Fraction(1, 2)
+    mixed = StepModel(masses=(half, half), w=((Fraction(0), 0.5), (0.5, Fraction(0))))
+    assert not mixed.exact
+    assert not labeled_repetitive(mixed, 3).exact and not model_spectrum(mixed, 3).exact
+
+
+def test_integer_and_fraction_models_stay_exact():
+    models = (
+        StepModel(masses=(1,), w=((0,),)),
+        StepModel(masses=(Fraction(1, 3), Fraction(2, 3)), w=((1, Fraction(1, 2)), (Fraction(1, 2), 0))),
+        bernoulli(1),
+        bernoulli("1/3"),
+        bipartite_random(Fraction(1, 4)),
+        model_complement(bipartite_random(Fraction(1, 4))),
+    )
+    for M in models:
+        assert M.exact
+        for profile in (repetitive_profile(M, 3), labeled_repetitive(M, 3), model_spectrum(M, 3)):
+            assert profile.exact
+            assert all(isinstance(v, Fraction) for v in profile.values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StepModel(masses=(Fraction(1),), w=((Fraction(0),),), exact=True),
+        lambda: ProfileVector(t=2, flavor="induced", values=(Fraction(1), Fraction(0)), exact=True),
+        lambda: LabeledProfile(t=2, flavor="r", values=(Fraction(1), Fraction(0)), exact=True),
+        lambda: SpectralProfile(t=2, values=(Fraction(1), Fraction(1)), exact=True),
+    ],
+)
+def test_exactness_is_not_a_constructor_argument(make):
+    with pytest.raises(TypeError):
+        make()

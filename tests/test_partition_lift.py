@@ -48,7 +48,7 @@ def step_models(draw, max_k=3):
     for i in range(k):
         for j in range(i, k):
             w[i][j] = w[j][i] = draw(probabilities)
-    return StepModel(masses=masses, w=tuple(map(tuple, w)), exact=True)
+    return StepModel(masses=masses, w=tuple(map(tuple, w)))
 
 
 def inner_models(max_k):
@@ -67,7 +67,7 @@ def substitute(G, M: StepModel) -> StepModel:
         )
         for g, h in types
     )
-    return StepModel(masses=masses, w=w, exact=True)
+    return StepModel(masses=masses, w=w)
 
 
 def oracle(M: StepModel, t: int) -> LabeledProfile:

@@ -12,7 +12,9 @@ from inducibility.profiles import (
     BudgetError,
     ProfileVector,
     QuantumGraph,
+    _packed_adjacency,
     _repetitive_by_assignments,
+    _sample_masks,
     induced_profile,
     iso_table,
     labeled_repetitive,
@@ -157,6 +159,12 @@ def test_repetitive_from_induced_edge_cases():
     # integer entries are exact too
     point = ProfileVector(t=3, flavor="induced", values=(1, 0, 0, 0))
     assert repetitive_from_induced(point, 5, 3) == repetitive_profile(from_graph(build_named("K", [5])), 3)
+    # float entries lift in floats
+    floats = repetitive_from_induced(ProfileVector(t=2, flavor="induced", values=(0.5, 0.5)), 3, 2)
+    half = Fraction(1, 2)
+    exact = repetitive_from_induced(ProfileVector(t=2, flavor="induced", values=(half, half)), 3, 2)
+    assert not floats.exact and exact.exact
+    assert all(abs(a - b) < 1e-12 for a, b in zip(floats.values, exact.values))
     with pytest.raises(ValueError):
         repetitive_from_induced(induced_profile(G, 4), 3, 4)
     with pytest.raises(ValueError):
@@ -225,3 +233,26 @@ def test_monte_carlo_monochromatic():
     assert abs(high - 2 * 0.5 ** 15) < 5 * max(se6, 1e-6)
     with pytest.raises(ValueError):
         monte_carlo_monochromatic(bernoulli(Fraction(1, 2)), 9, 1000, seed=1)
+
+
+def test_packed_adjacency_holds_one_bit_per_pair():
+    n = 4096
+    G = from_edges(n, [(0, n - 1), (17, 300), (300, 301)], loops=[5])
+    packed = _packed_adjacency(G)
+    assert packed.shape == (n, n // 8) and packed.nbytes == n * n // 8
+    for u, v in ((0, n - 1), (n - 1, 0), (17, 300), (300, 301), (5, 5), (0, 1), (17, 301)):
+        assert (packed[u, v >> 3] >> (v & 7)) & 1 == (G.rows[u] >> v) & 1
+
+
+def test_sampled_masks_follow_the_adjacency_rows():
+    import numpy as np
+    from inducibility import masks
+    G = _random_loopless(random.Random(4), 19)
+    t = 4
+    pairs = masks.pair_slots(t)
+    (got,) = _sample_masks(G, t, np.random.default_rng(5), 2000, pairs)
+    verts = np.random.default_rng(5).integers(0, G.n, size=(2000, t))
+    want = [
+        sum(((G.rows[row[i]] >> row[j]) & 1) << s for s, (i, j) in enumerate(pairs)) for row in verts.tolist()
+    ]
+    assert got.tolist() == want
