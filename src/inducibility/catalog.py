@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dsl import evaluate, parse_expr, parse_quantum, split_top_level
+from .dsl import evaluate, parse_expr, parse_factors, parse_quantum
 from .graphs import LabeledGraph, from_edges
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
@@ -157,8 +157,8 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
     """Repetitive density of Q in the tensor product of the limits of the
     comma-separated factors and of the nested composition of `nested`."""
     spectra = [
-        model_spectrum(evaluate(parse_expr(text), approx=approx), Q.t, **budget)
-        for text in (split_top_level(factors) if factors else ())
+        model_spectrum(evaluate(node, approx=approx), Q.t, **budget)
+        for node in (parse_factors(factors) if factors else ())
     ]
     if nested:
         base = _graph(nested, approx, "the nested factor must be a loopless graph")
@@ -166,15 +166,16 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
     return product_limit_density(Q, *spectra)
 
 
-def run_row(row: CatalogRow) -> BoundReport:
+def run_row(row: CatalogRow, **budget) -> BoundReport:
+    """Recompute one row; a `budget` keyword bounds the work of its routes."""
     start = time.perf_counter()
     Q = row.quantum()
     if row.mode == "model":
-        computed = density(Q, row.construction, row.approx)
+        computed = density(Q, row.construction, row.approx, **budget)
     elif row.mode == "nested":
-        computed = quantum_density(Q, nested_profile(row.construction, row.t, row.approx))
+        computed = quantum_density(Q, nested_profile(row.construction, row.t, row.approx, **budget))
     elif row.mode == "product":
-        computed = limit_density(Q, row.factors, row.nested_factor, row.approx)
+        computed = limit_density(Q, row.factors, row.nested_factor, row.approx, **budget)
     else:
         raise ValueError(f"unknown row mode {row.mode!r}")
     expected = Fraction(row.expected)
@@ -197,10 +198,10 @@ def catalog_rows(which: str) -> tuple:
     return _ROWS[which]
 
 
-def reproduce_table(which: str) -> list:
-    """Recompute every row of a bundled table; failures are reported, not
-    raised."""
-    return [run_row(row) for row in catalog_rows(which)]
+def reproduce_table(which: str, **budget) -> list:
+    """Recompute every row of a bundled table; failing rows are reported, not
+    raised.  A `budget` keyword reaches the routes of every row."""
+    return [run_row(row, **budget) for row in catalog_rows(which)]
 
 
 def _model_row(row_id, t, target, construction, expected, approx=False, edges=None):

@@ -18,7 +18,7 @@ import tempfile
 
 from . import __version__
 from .catalog import TABLES, closed_form_bounds, density, limit_density, nested_profile, reproduce_table
-from .dsl import evaluate, parse_expr, parse_quantum, print_expr, split_top_level
+from .dsl import evaluate, loaded_paths, parse_expr, parse_factors, parse_quantum, print_expr
 from .graphs import LabeledGraph, graph6_decode, graph6_encode
 from .profiles import (
     induced_profile,
@@ -181,7 +181,7 @@ def _run_bounds(args) -> dict:
 
 
 def _run_tables(args) -> dict:
-    reports = reproduce_table(args.which)
+    reports = reproduce_table(args.which, **_budget_kwargs(args))
     rows = []
     for r in reports:
         rows.append(
@@ -239,8 +239,9 @@ _RUNNERS = {
 def _cache_key(args) -> str:
     """Content key over command, mathematical parameters, and version.
 
-    Expressions enter in canonical printed form; the output format and the
-    budget do not change the result, so they stay out of the key.
+    Expressions enter in canonical printed form, and every file they load
+    by the sha256 of its bytes; the output format and the budget do not
+    change the result, so they stay out of the key.
     """
     parts = [f"version={__version__}", f"command={args.command}"]
     for name in ("t", "flavor", "samples", "seed", "which", "graph6"):
@@ -250,14 +251,16 @@ def _cache_key(args) -> str:
         parts.append("approx=1")
     if getattr(args, "quantum", None):
         parts.append(f"quantum={parse_quantum(args.quantum, args.t).describe()}")
-    for name in ("expr", "encode", "nested"):
+    loaded = []
+    for name in ("expr", "encode", "nested", "factors"):
         text = getattr(args, name, None)
         if text:
-            parts.append(f"{name}={print_expr(parse_expr(text))}")
-    factors = getattr(args, "factors", "")
-    if factors:
-        canon = ",".join(print_expr(parse_expr(f)) for f in split_top_level(factors))
-        parts.append(f"factors={canon}")
+            nodes = parse_factors(text) if name == "factors" else [parse_expr(text)]
+            parts.append(f"{name}={','.join(print_expr(node) for node in nodes)}")
+            loaded += [path for node in nodes for path in loaded_paths(node)]
+    for path in loaded:
+        with open(path, "rb") as handle:
+            parts.append(f"load={hashlib.sha256(handle.read()).hexdigest()}")
     blob = "\n".join(parts).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -4,19 +4,25 @@ A small text language for graphs and step models: named leaves (K3, C5,
 loopK1, paley(9), cayley2(10; 1,2,5), fixed 4-vertex names, bull), the
 operators complement, blowup, compose, tensor and union, and the random
 models bernoulli(p) and bipartite(p).  Numbers are exact rationals; pass
-approx=True at evaluation to push every numeric weight to float.
+approx=True at evaluation to push every numeric weight to float.  Names and
+the size cap belong to graphs.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .graphs import (
+    FAMILIES,
+    FIXED_EDGES,
     LabeledGraph,
     blow_up,
     build_named,
+    check_order,
     complement,
     compose,
     graph6_decode,
@@ -33,10 +39,7 @@ from .models import (
 )
 from .profiles import QuantumGraph, iso_table, MIN_ORDER, MAX_ORDER
 
-MAX_VERTICES = 65536
-
-_FIXED_LEAVES = ("K4", "A4", "T4", "S4", "M4", "C4", "Q4", "V4", "D4", "E4", "P4", "bull")
-_FAMILY_RE = re.compile(r"^(loopK|K|A|C|P)([0-9]+)$")
+_FAMILY_RE = re.compile(rf"^({'|'.join(FAMILIES)})([0-9]+)$")
 
 
 class ExprError(ValueError):
@@ -126,14 +129,9 @@ def _tokenize(text: str) -> list:
             if not stripped:
                 break
             raise ExprError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        elif m.group("str") is not None:
-            tokens.append(("str", m.group("str")[1:-1], m.start("str")))
-        else:
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
+        kind = m.lastgroup
+        value = m.group(kind)
+        tokens.append((kind, value[1:-1] if kind == "str" else value, m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -195,8 +193,12 @@ class _Parser:
         return node
 
     def _leaf(self, name: str, pos: int):
-        if name in _FIXED_LEAVES or _FAMILY_RE.match(name):
-            return Named(name=name, span=(pos, pos + len(name)))
+        span = (pos, pos + len(name))
+        if name in FIXED_EDGES:  # a fixed name such as C4 wins over its family
+            return Named(name=name, span=span)
+        m = _FAMILY_RE.match(name)
+        if m:
+            return Named(name=m.group(1), params=(int(m.group(2)),), span=span)
         raise ExprError(f"unknown construction {name!r}", pos)
 
     def _args_until_close(self, parse_one, separators=(",",)):
@@ -246,11 +248,9 @@ class _Parser:
             parts = self._args_until_close(self._weighted_part)
             return Union(parts=tuple(parts), span=(pos, self.peek()[2]))
         if name == "bernoulli":
-            p = self.parse_number()
-            return Bernoulli(p=p, span=(pos, self.peek()[2]))
+            return Bernoulli(p=self.parse_number(), span=(pos, self.peek()[2]))
         if name == "bipartite":
-            p = self.parse_number()
-            return BipartiteRandom(p=p, span=(pos, self.peek()[2]))
+            return BipartiteRandom(p=self.parse_number(), span=(pos, self.peek()[2]))
         if name == "load":
             tok = self.next()
             if tok[0] != "str":
@@ -260,8 +260,7 @@ class _Parser:
             sizes = self._args_until_close(self.parse_int)
             return Named(name="kpart", params=tuple(sizes), span=(pos, self.peek()[2]))
         if name == "paley":
-            q = self.parse_int()
-            return Named(name="paley", params=(q,), span=(pos, self.peek()[2]))
+            return Named(name="paley", params=(self.parse_int(),), span=(pos, self.peek()[2]))
         if name == "cayley2":
             args = self._args_until_close(self.parse_int, separators=(",", ";"))
             if len(args) < 2:
@@ -270,42 +269,41 @@ class _Parser:
         raise ExprError(f"unknown operator {name!r}", pos)
 
 
-def parse_expr(text: str):
+def parse_factors(text: str, separators=(",",)) -> list:
+    """Nodes of a comma-separated list of constructions."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    nodes = parser._args_until_close(parser.parse_expr, separators)
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return node
+    return nodes
 
 
-def split_top_level(text: str) -> list[str]:
-    """Split a factor list on commas outside parentheses."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ExprError("unbalanced parentheses", i)
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ExprError("unbalanced parentheses", len(text) - 1)
-    parts.append(text[start:])
-    parts = [p.strip() for p in parts]
-    if any(not p for p in parts):
-        raise ExprError("empty factor in list")
-    return parts
+def parse_expr(text: str):
+    """Node of a single construction."""
+    return parse_factors(text, separators=())[0]
+
+
+def loaded_paths(node) -> list:
+    """Paths of the files a construction loads, left to right."""
+    if isinstance(node, Load):
+        return [node.path]
+    if isinstance(node, (Complement, BlowUp)):
+        children = (node.inner,)
+    elif isinstance(node, Compose):
+        children = (node.left, node.right)
+    elif isinstance(node, Union):
+        children = tuple(e for e, _ in node.parts)
+    else:
+        children = getattr(node, "factors", ())
+    return [path for child in children for path in loaded_paths(child)]
 
 
 def print_expr(node) -> str:
     """Canonical text form; parsing it reproduces the node."""
     if isinstance(node, Named):
+        if node.name in FAMILIES:
+            return f"{node.name}{node.params[0]}"
         if not node.params:
             return node.name
         if node.name == "cayley2":
@@ -332,87 +330,57 @@ def print_expr(node) -> str:
     raise TypeError(f"not a construction node: {node!r}")
 
 
-def _check_size(n: int, max_vertices: int, span) -> None:
-    if n > max_vertices:
-        raise ExprError(
-            f"construction has {n} vertices, above the limit of {max_vertices}; "
-            "use a step-model or spectral route instead",
-            span[0],
-        )
+def _check_size(n: int, span) -> None:
+    try:
+        check_order(n)
+    except ValueError as exc:
+        raise ExprError(str(exc), span[0]) from None
 
 
-def _eval_named(node: Named):
-    name = node.name
-    if name in _FIXED_LEAVES:
-        return build_named(name)
-    m = _FAMILY_RE.match(name)
-    if m:
-        return build_named(m.group(1), [int(m.group(2))])
-    if name == "kpart":
-        return build_named("kpart", list(node.params))
-    if name == "paley":
-        return build_named("paley", [node.params[0]])
-    if name == "cayley2":
-        return build_named("cayley2", list(node.params))
-    raise ExprError(f"unknown construction {name!r}", node.span[0])
+def _as_model(source) -> StepModel:
+    """A step model as it is, a graph as the step model of its blow-up limit."""
+    return source if isinstance(source, StepModel) else from_graph(source)
 
 
-def evaluate(node, approx: bool = False, max_vertices: int = MAX_VERTICES):
+def evaluate(node, approx: bool = False):
     """Build the graph or step model a construction denotes.
 
     Graphs stay graphs as long as every operator is graph-valued; union and
     any random leaf produce a step model, lifting graph operands through
-    their blow-up limits.
+    their blow-up limits.  Named leaves refuse sizes above the cap before
+    they are built; blowup, compose and tensor check their products.
     """
     if isinstance(node, Named):
-        g = _eval_named(node)
-        _check_size(g.n, max_vertices, node.span)
-        return g
+        return build_named(node.name, node.params)
     if isinstance(node, Load):
         with open(node.path, "r", encoding="ascii") as handle:
-            text = handle.read().strip()
-        g = graph6_decode(text)
-        _check_size(g.n, max_vertices, node.span)
-        return g
+            return graph6_decode(handle.read().strip())
     if isinstance(node, Complement):
-        inner = evaluate(node.inner, approx, max_vertices)
-        if isinstance(inner, LabeledGraph):
-            return complement(inner)
-        return model_complement(inner)
+        inner = evaluate(node.inner, approx)
+        return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
     if isinstance(node, BlowUp):
-        inner = evaluate(node.inner, approx, max_vertices)
+        inner = evaluate(node.inner, approx)
         if not isinstance(inner, LabeledGraph):
             raise ExprError("blowup applies to graphs only", node.span[0])
-        _check_size(inner.n * node.m, max_vertices, node.span)
+        _check_size(inner.n * node.m, node.span)
         return blow_up(inner, node.m)
     if isinstance(node, Compose):
-        left = evaluate(node.left, approx, max_vertices)
-        right = evaluate(node.right, approx, max_vertices)
+        left = evaluate(node.left, approx)
+        right = evaluate(node.right, approx)
         if not (isinstance(left, LabeledGraph) and isinstance(right, LabeledGraph)):
             raise ExprError("compose applies to graphs only", node.span[0])
-        _check_size(left.n * right.n, max_vertices, node.span)
+        _check_size(left.n * right.n, node.span)
         return compose(left, right)
     if isinstance(node, Tensor):
-        factors = [evaluate(f, approx, max_vertices) for f in node.factors]
+        factors = [evaluate(f, approx) for f in node.factors]
         if all(isinstance(f, LabeledGraph) for f in factors):
-            n = 1
-            for f in factors:
-                n *= f.n
-            _check_size(n, max_vertices, node.span)
+            _check_size(math.prod(f.n for f in factors), node.span)
             return tensor(*factors)
-        models = [f if isinstance(f, StepModel) else from_graph(f) for f in factors]
-        out = models[0]
-        for m in models[1:]:
-            out = model_tensor(out, m)
-        return out
+        return reduce(model_tensor, map(_as_model, factors))
     if isinstance(node, Union):
-        parts = []
-        for e, weight in node.parts:
-            inner = evaluate(e, approx, max_vertices)
-            if isinstance(inner, LabeledGraph):
-                inner = from_graph(inner)
-            parts.append((inner, float(weight) if approx else weight))
-        return model_union(parts)
+        return model_union(
+            [(_as_model(evaluate(e, approx)), float(w) if approx else w) for e, w in node.parts]
+        )
     if isinstance(node, Bernoulli):
         return bernoulli(float(node.p) if approx else node.p)
     if isinstance(node, BipartiteRandom):

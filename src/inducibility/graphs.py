@@ -18,7 +18,7 @@ from .masks import pair_slots, slot_count
 CANONICAL_LIMIT = 10
 GRAPH6_LIMIT = 62
 PALEY_ORDERS = (5, 9, 13, 17, 29)
-CAYLEY2_LIMIT = 16
+MAX_VERTICES = 65536  # largest construction that is ever built
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def disjoint_union(G: LabeledGraph, H: LabeledGraph, *more: LabeledGraph) -> Lab
 
 # Fixed 4- and 5-vertex graphs referenced by name in profile bases and the
 # construction language.
-_FIXED_EDGES = {
+FIXED_EDGES = {
     "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     "A4": [],
     "S4": [(0, 1), (0, 2), (0, 3)],
@@ -218,11 +218,6 @@ _FIXED_EDGES = {
     "P4": [(0, 1), (1, 2), (2, 3)],
     "bull": [(3, 1), (3, 2), (1, 2), (1, 0), (3, 4)],
 }
-_FIXED_ORDER = {name: (5 if name == "bull" else 4) for name in _FIXED_EDGES}
-
-
-def _complete(n: int) -> LabeledGraph:
-    return from_edges(n, itertools.combinations(range(n), 2))
 
 
 def _cycle(n: int) -> LabeledGraph:
@@ -231,8 +226,15 @@ def _cycle(n: int) -> LabeledGraph:
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _path(n: int) -> LabeledGraph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+# Families with one size parameter, by name: complete, empty, cycle, path,
+# and complete with a loop at every vertex.
+FAMILIES = {
+    "K": lambda n: from_edges(n, itertools.combinations(range(n), 2)),
+    "A": from_edges,
+    "C": _cycle,
+    "P": lambda n: from_edges(n, [(i, i + 1) for i in range(n - 1)]),
+    "loopK": lambda n: from_edges(n, itertools.combinations(range(n), 2), loops=range(n)),
+}
 
 
 def _complete_multipartite(sizes) -> LabeledGraph:
@@ -240,6 +242,7 @@ def _complete_multipartite(sizes) -> LabeledGraph:
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
+    check_order(n)
     bounds = list(itertools.accumulate(sizes))
     part = []
     for v in range(n):
@@ -269,12 +272,23 @@ def _paley(q: int) -> LabeledGraph:
     return from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q) if (u - v) % q in squares])
 
 
+def check_order(n: int, shown=None) -> None:
+    """Refuse more than MAX_VERTICES vertices; `shown` spells out a huge n."""
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"construction has {shown or n} vertices, above the limit of {MAX_VERTICES}; "
+            "use a step-model or spectral route instead"
+        )
+
+
 def _cayley2(n: int, weights) -> LabeledGraph:
     """Cayley graph of the group of n-bit vectors under xor, connecting u, v
     iff the Hamming weight of u xor v lies in the weight set.  Weight 0 puts
     a loop at every vertex."""
-    if not 1 <= n <= CAYLEY2_LIMIT:
-        raise ValueError(f"cayley2 dimension must be in 1..{CAYLEY2_LIMIT}")
+    if n < 1:
+        raise ValueError(f"cayley2 dimension must be in 1..{MAX_VERTICES.bit_length() - 1}")
+    # 2**n is never computed for a dimension past the cap's bit length
+    check_order(1 << min(n, MAX_VERTICES.bit_length()), f"2**{n}")
     wset = set(weights)
     if not wset or not all(isinstance(w, int) and 0 <= w <= n for w in wset):
         raise ValueError("weights must be integers in 0..n")
@@ -292,25 +306,18 @@ def _cayley2(n: int, weights) -> LabeledGraph:
 def build_named(name: str, params=()) -> LabeledGraph:
     """Construct a catalogue graph: K/A/C/P/loopK families with a size
     parameter, kpart/paley/cayley2 with their own parameters, or one of the
-    fixed 4- and 5-vertex names."""
+    fixed 4- and 5-vertex names.  The order is worked out from the
+    parameters and checked against MAX_VERTICES before any row is built."""
     params = list(params)
-    if name in _FIXED_EDGES:
+    if name in FIXED_EDGES:
         if params:
             raise ValueError(f"{name} takes no parameters")
-        return from_edges(_FIXED_ORDER[name], _FIXED_EDGES[name])
-    if name in ("K", "A", "C", "P", "loopK"):
+        return from_edges(5 if name == "bull" else 4, FIXED_EDGES[name])
+    if name in FAMILIES:
         if len(params) != 1 or not isinstance(params[0], int) or params[0] < 1:
             raise ValueError(f"{name} takes one positive integer size")
-        n = params[0]
-        if name == "K":
-            return _complete(n)
-        if name == "A":
-            return from_edges(n)
-        if name == "C":
-            return _cycle(n)
-        if name == "P":
-            return _path(n)
-        return from_edges(n, itertools.combinations(range(n), 2), loops=range(n))
+        check_order(params[0])
+        return FAMILIES[name](params[0])
     if name == "kpart":
         return _complete_multipartite(params)
     if name == "paley":

@@ -73,11 +73,8 @@ def from_graph(G: LabeledGraph) -> StepModel:
     """Blow-up limit of G: uniform masses, 0/1 probabilities from the
     adjacency, loops mapping to diagonal ones."""
     n = G.n
-    masses = tuple(Fraction(1, n) for _ in range(n))
-    w = tuple(
-        tuple(Fraction((G.rows[u] >> v) & 1) for v in range(n)) for u in range(n)
-    )
-    return StepModel(masses=masses, w=w)
+    w = tuple(tuple((row >> v) & 1 for v in range(n)) for row in G.rows)
+    return StepModel(masses=(Fraction(1, n),) * n, w=w)
 
 
 def bernoulli(p) -> StepModel:

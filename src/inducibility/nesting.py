@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import LabeledGraph, graph6_encode
+from .graphs import LabeledGraph
 from .linalg import solve_rational_kernel
 from .profiles import (
     DEFAULT_SUBSET_BUDGET,
@@ -73,7 +73,6 @@ class TransitionMatrix:
     """Column-stochastic action of one nesting step on type distributions."""
 
     t: int
-    base: str
     rows: tuple
 
     def __post_init__(self):
@@ -112,14 +111,13 @@ def transition_matrix(G: LabeledGraph, t: int) -> TransitionMatrix:
         den = total * e.orbit_size
         cols.append([Fraction(nums[f.rep_mask] * f.orbit_size, den) for f in table.entries])
     rows = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    return TransitionMatrix(t=t, base=graph6_encode(G), rows=rows)
+    return TransitionMatrix(t=t, rows=rows)
 
 
 @dataclass(frozen=True)
 class NestedProfile:
     """Stationary type distribution of iterated composition of a base."""
 
-    base: str
     profile: ProfileVector
     matrix: TransitionMatrix
 
@@ -160,7 +158,7 @@ def stationary_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUD
     if F.apply(values) != values:
         raise AssertionError("stationary residual is nonzero")
     profile = ProfileVector(t=t, flavor="repetitive", values=values)
-    return NestedProfile(base=F.base, profile=profile, matrix=F)
+    return NestedProfile(profile=profile, matrix=F)
 
 
 def nested_spectral(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> SpectralProfile:

@@ -55,6 +55,19 @@ def test_comparison_follows_approx():
         CatalogRow(row_id="x", t=4, mode="model", expected="1", comparison="approx", target="K4")
 
 
+def test_headline_construction_strings():
+    # these fill the "construction" field of `tables --which headline`
+    assert [row.describe() for row in catalog_rows("headline")] == [
+        "tensor limit of [M4, K4, tensor(K3, K3)]",
+        "tensor limit of [M4, K4, compose(tensor(K3, K3), K2)]",
+        "tensor limit of [M4, K4] with nested tensor(K3, K3)",
+        "tensor limit of [K4] with nested tensor(K3, K3)",
+        "nested C5",
+        "nested paley(17)",
+        "nested C5",
+    ]
+
+
 def test_exoo4_table_reproduces():
     reports = reproduce_table("exoo4")
     assert all(r.passed for r in reports)

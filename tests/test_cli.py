@@ -12,6 +12,7 @@ import pytest
 import inducibility.cli as cli
 from inducibility import models
 from inducibility.catalog import reproduce_table
+from inducibility.graphs import build_named, graph6_encode
 from inducibility.cli import EXIT_BROKEN_PIPE, run_command
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,10 +153,20 @@ def test_error_paths_exit_two(capsys):
         ["limit", "--t", "4", "--quantum", "P4", "--factors", "cayley2(10; 1)", "--budget", "10"],
         ["bounds", "--t", "200000"],
         ["estimate", "--t", "3", "--samples", "100000000000", "--budget", "10", "--seed", "1", "C5"],
+        ["tables", "--which", "headline", "--budget", "1"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
         assert "error:" in err
+
+
+def test_nested_bases_above_graph6_order(capsys):
+    # a nested base is not stored as graph6, which stops at 62 vertices
+    payload = _run_json(capsys, ["nested-profile", "C70", "--t", "3"])
+    assert (payload["values"][0]["type"], payload["values"][0]["num"], payload["values"][0]["den"]) == (
+        "K3", "4", "112677")
+    payload = _run_json(capsys, ["limit", "--t", "4", "--quantum", "P4", "--nested", "cayley2(6; 1)"])
+    assert (payload["values"][0]["num"], payload["values"][0]["den"]) == ("160", "29127")
 
 
 def test_budget_verdict_is_monotone_in_size(capsys):
@@ -195,6 +206,61 @@ def test_cache_key_ignores_budget_but_not_math(capsys, tmp_path):
     # canonical printing collapses spelling differences
     _run(capsys, ["profile", "--t", "3", "--cache", str(tmp_path), "  C5  "])
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def _key(argv) -> str:
+    return cli._cache_key(cli.build_parser().parse_args(argv))
+
+
+def test_cache_keys_without_load_are_pinned():
+    assert _key(["profile", "--t", "3", "C5"]) == (
+        "e54f299903c0324cf1c06af70d6843f6b0a02320d65997d26ab19cf51c232e8f")
+    limit = ["limit", "--t", "4", "--quantum", "K4 + A4", "--factors", "M4, K4, K3, K3"]
+    assert _key(limit) == "12e875da9ab3d71f3e13bb6082870d2f2aaeb875186b472293b3759942f93ee9"
+    # spellings of one quantum target and one factor list share the key
+    assert _key(["limit", "--t", "4", "--quantum", "K4+A4", "--factors", " M4,K4 ,K3,  K3"]) == _key(limit)
+    assert _key(limit + ["--format", "table", "--budget", "5"]) == _key(limit)
+    assert _key(limit + ["--approx"]) != _key(limit)
+    assert _key(["limit", "--t", "4", "--quantum", "K4", "--factors", "M4, K4, K3, K3"]) != _key(limit)
+    assert _key(["limit", "--t", "4", "--quantum", "K4 + A4", "--factors", "M4, K4, K3"]) != _key(limit)
+    assert _key(["profile", "--t", "3", "--approx", "C5"]) != _key(["profile", "--t", "3", "C5"])
+
+
+def test_cache_follows_the_content_of_loaded_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "g.g6"
+    argv = ["profile", "--t", "3", "--cache", "cache", 'load("g.g6")']
+    k3 = {}
+    for name in ("C5", "K5", "C5"):
+        path.write_text(graph6_encode(build_named(name[0], [5])) + "\n", encoding="ascii")
+        entry = _run_json(capsys, argv)["values"][0]
+        k3[name] = (entry["type"], entry["num"], entry["den"])
+    assert k3 == {"C5": ("K3", "0", "1"), "K5": ("K3", "12", "25")}
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_table_layouts(capsys):
+    code, out, err = _run(capsys, ["tables", "--which", "exoo4", "--format", "table"])
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "row              status                 computed         expected",
+        "-----------------------------------------------------------------",
+        "exoo4-01         pass                        1/1                1",
+        "exoo4-02         pass                        1/1                1",
+    ]
+    assert out.splitlines()[-1] == "exoo4-10         pass                     72/125           72/125"
+    code, out, err = _run(capsys, ["convert", "--encode", "C5", "--format", "table"])
+    assert out == "n = 5\ngraph6 = Dhc\nedges = 0-1 0-4 1-2 2-3 3-4\n"
+    args = cli.build_parser().parse_args(["estimate", "--t", "3", "--samples", "1", "--seed", "3", "C5"])
+    payload = cli._profile_payload(
+        "estimate", 3, ("K3", "A3", "P3", "E3"), (0.0, 0.291, 0.48, 0.229), args, seed=3,
+        stderr=(0.0, 0.01436, 0.0158, 0.01329),
+    )
+    assert cli._render_table(payload) == (
+        "K3  0  (se 0)\nA3  0.291  (se 0.0144)\nP3  0.48  (se 0.0158)\nE3  0.229  (se 0.0133)"
+    )
+    code, out, err = _run(capsys, ["profile", "--t", "3", "--format", "table", "union(K2:1, K2:2)"])
+    assert out == "K3  0/1  (~0)\nA3  5/12  (~0.416666667)\nP3  1/4  (~0.25)\nE3  1/3  (~0.333333333)\n"
 
 
 def test_version_flag(capsys):

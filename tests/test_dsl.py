@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from inducibility import graphs
 from inducibility.dsl import (
     Bernoulli,
     BlowUp,
@@ -13,12 +14,20 @@ from inducibility.dsl import (
     Tensor,
     Union,
     evaluate,
+    loaded_paths,
     parse_expr,
+    parse_factors,
     parse_quantum,
     print_expr,
-    split_top_level,
 )
-from inducibility.graphs import LabeledGraph, build_named, canonical_form, graph6_encode
+from inducibility.graphs import (
+    LabeledGraph,
+    build_named,
+    canonical_form,
+    complement,
+    disjoint_union,
+    graph6_encode,
+)
 from inducibility.models import StepModel
 from inducibility.profiles import iso_table
 
@@ -130,11 +139,56 @@ def test_evaluate_model_expressions():
     assert mixed.k == 3
 
 
+def test_family_leaves_parse_to_named_parameters():
+    assert parse_expr("K5") == Named("K", (5,))
+    assert parse_expr("loopK2") == Named("loopK", (2,))
+    assert print_expr(Named("K", (5,))) == "K5"
+    # a fixed name wins over its family: C4 keeps its own labeling
+    assert parse_expr("C4") == Named("C4")
+    assert evaluate(parse_expr("C4")) == build_named("C4")
+    assert evaluate(parse_expr("C4")) != build_named("C", [4])
+    assert evaluate(parse_expr("C5")) == build_named("C", [5])
+
+
+def test_evaluate_kpart():
+    G = evaluate(parse_expr("kpart(2, 2, 2)"))
+    # complement flips loops too, so looped K2 blocks leave a loopless result
+    loop_k2 = build_named("loopK", [2])
+    assert canonical_form(G) == canonical_form(complement(disjoint_union(loop_k2, loop_k2, loop_k2)))
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("K70000", "70000"),
+        ("kpart(70000)", "70000"),
+        ("cayley2(17; 1)", "2**17"),
+        ("cayley2(99999999999; 1)", "2**99999999999"),
+    ],
+)
+def test_over_cap_leaves_are_refused_before_building(text, shown, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an over-cap leaf was built")
+
+    monkeypatch.setattr(graphs, "LabeledGraph", refuse)
+    with pytest.raises(ValueError) as err:
+        evaluate(parse_expr(text))
+    assert str(err.value).startswith(
+        f"construction has {shown} vertices, above the limit of {graphs.MAX_VERTICES};"
+    )
+
+
+def test_loaded_paths_in_print_order():
+    node = parse_expr('union(load("a.g6"):1, tensor(K2, complement(load("b.g6"))):2)')
+    assert loaded_paths(node) == ["a.g6", "b.g6"]
+    assert loaded_paths(parse_expr("compose(K2, blowup(C5, 2))")) == []
+
+
 def test_evaluate_type_errors():
     with pytest.raises(ExprError):
         evaluate(parse_expr("blowup(bernoulli(1/2), 2)") if False else parse_expr("compose(bernoulli(1/2), K2)"))
     with pytest.raises(ExprError):
-        evaluate(parse_expr("tensor(K9, K9)"), max_vertices=50)
+        evaluate(parse_expr("tensor(K256, K257)"))
 
 
 def test_evaluate_approx_mode():
@@ -151,12 +205,15 @@ def test_evaluate_load(tmp_path):
 
 
 def test_split_top_level():
-    assert split_top_level("K4, M4, tensor(K3, K3)") == ["K4", "M4", "tensor(K3, K3)"]
-    assert split_top_level("union(K2:1, K2:1)") == ["union(K2:1, K2:1)"]
+    def printed(text):
+        return [print_expr(node) for node in parse_factors(text)]
+
+    assert printed("K4, M4, tensor(K3, K3)") == ["K4", "M4", "tensor(K3, K3)"]
+    assert printed("union(K2:1, K2:1)") == ["union(K2:1, K2:1)"]
     with pytest.raises(ExprError):
-        split_top_level("K4,, M4")
+        parse_factors("K4,, M4")
     with pytest.raises(ExprError):
-        split_top_level("tensor(K3, K3")
+        parse_factors("tensor(K3, K3")
 
 
 def test_parse_quantum_inference_and_errors():

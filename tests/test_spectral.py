@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from inducibility.graphs import build_named, from_edges, tensor
-from inducibility.models import bernoulli, from_graph, model_tensor
+from inducibility.models import APPROX_TOL, bernoulli, from_graph, model_tensor, model_union
 from inducibility.profiles import (
     QuantumGraph,
     labeled_repetitive_profile,
@@ -33,6 +33,16 @@ def test_fwht_round_trip():
         vec = [Fraction(rng.randrange(-9, 10), 7) for _ in range(8)]
         assert fwht_inverse(fwht_forward(vec)) == vec
         assert fwht_forward(fwht_inverse(vec)) == vec
+
+
+def test_approximate_spectrum_round_trips():
+    # float values take the float branch of fwht_inverse
+    M = model_union([(from_graph(build_named("K", [2])), 1.0), (bernoulli(0.3), 3.7320508075688772)])
+    for t in (2, 3, 4):
+        lab = labeled_repetitive_profile(M, t)
+        back = inverse_fourier(fourier(lab))
+        assert not back.exact
+        assert all(abs(a - b) <= APPROX_TOL for a, b in zip(back.values, lab.values))
 
 
 def test_fwht_requires_power_of_two_length():
