@@ -15,10 +15,11 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 from . import __version__
 from .catalog import TABLES, closed_form_bounds, density, limit_density, nested_profile, reproduce_table
-from .dsl import evaluate, loaded_paths, parse_expr, parse_factors, parse_quantum, print_expr
+from .dsl import LOADED, evaluate, loaded_paths, parse_expr, parse_factors, parse_quantum, print_expr
 from .graphs import LabeledGraph, graph6_decode, graph6_encode
 from .profiles import (
     induced_profile,
@@ -110,16 +111,9 @@ def _meta(args, seed=None) -> dict:
 
 
 def _profile_payload(command, t, names, values, args, seed=None, stderr=None):
-    entries = []
-    for i, name in enumerate(names):
-        entries.append(_value_entry(name, values[i], None if stderr is None else stderr[i]))
-    return {
-        "command": command,
-        "t": t,
-        "basis": list(names),
-        "values": entries,
-        "meta": _meta(args, seed),
-    }
+    errors = stderr or (None,) * len(names)
+    entries = [_value_entry(name, value, err) for name, value, err in zip(names, values, errors)]
+    return {"command": command, "t": t, "basis": list(names), "values": entries, "meta": _meta(args, seed)}
 
 
 def _budget_kwargs(args) -> dict:
@@ -181,29 +175,22 @@ def _run_bounds(args) -> dict:
 
 
 def _run_tables(args) -> dict:
-    reports = reproduce_table(args.which, **_budget_kwargs(args))
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "row": r.row_id,
-                "t": r.row.t,
-                "target": r.row.target or "edges " + str(list(r.row.target_edges)),
-                "construction": r.row.describe(),
-                "expected": r.row.expected,
-                "computed": r.computed
-                if isinstance(r.computed, float)
-                else f"{r.computed.numerator}/{r.computed.denominator}",
-                "comparison": r.row.comparison,
-                "passed": r.passed,
-            }
-        )
-    return {
-        "command": "tables",
-        "which": args.which,
-        "rows": rows,
-        "meta": _meta(args),
-    }
+    rows = [
+        {
+            "row": r.row_id,
+            "t": r.row.t,
+            "target": r.row.target or "edges " + str(list(r.row.target_edges)),
+            "construction": r.row.describe(),
+            "expected": r.row.expected,
+            "computed": r.computed
+            if isinstance(r.computed, float)
+            else f"{r.computed.numerator}/{r.computed.denominator}",
+            "comparison": r.row.comparison,
+            "passed": r.passed,
+        }
+        for r in reproduce_table(args.which, **_budget_kwargs(args))
+    ]
+    return {"command": "tables", "which": args.which, "rows": rows, "meta": _meta(args)}
 
 
 def _run_convert(args) -> dict:
@@ -240,8 +227,8 @@ def _cache_key(args) -> str:
     """Content key over command, mathematical parameters, and version.
 
     Expressions enter in canonical printed form, and every file they load
-    by the sha256 of its bytes; the output format and the budget do not
-    change the result, so they stay out of the key.
+    by the sha256 of its bytes, which LOADED keeps to build the graph from.
+    The output format and the budget do not change the result: not keyed.
     """
     parts = [f"version={__version__}", f"command={args.command}"]
     for name in ("t", "flavor", "samples", "seed", "which", "graph6"):
@@ -259,18 +246,20 @@ def _cache_key(args) -> str:
             parts.append(f"{name}={','.join(print_expr(node) for node in nodes)}")
             loaded += [path for node in nodes for path in loaded_paths(node)]
     for path in loaded:
-        with open(path, "rb") as handle:
-            parts.append(f"load={hashlib.sha256(handle.read()).hexdigest()}")
+        LOADED[path] = Path(path).read_bytes()
+        parts.append(f"load={hashlib.sha256(LOADED[path]).hexdigest()}")
     blob = "\n".join(parts).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
 def _cache_load(directory: str, key: str):
-    path = os.path.join(directory, key + ".json")
-    if not os.path.exists(path):
+    """The cached payload, or None for a missing or unreadable entry."""
+    try:
+        payload = json.loads(Path(directory, key + ".json").read_bytes())
+    except (OSError, ValueError):
         return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    readable = isinstance(payload, dict) and "command" in payload and isinstance(payload.get("meta"), dict)
+    return payload if readable else None
 
 
 def _cache_store(directory: str, key: str, payload: dict) -> None:
@@ -338,6 +327,8 @@ def run_command(argv) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        LOADED.clear()
     text = _render_json(payload) if args.format == "json" else _render_table(payload)
     try:
         print(text)

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 from .graphs import (
     FAMILIES,
@@ -40,6 +41,9 @@ from .models import (
 from .profiles import QuantumGraph, iso_table, MIN_ORDER, MAX_ORDER
 
 _FAMILY_RE = re.compile(rf"^({'|'.join(FAMILIES)})([0-9]+)$")
+# bytes by path that load(...) uses in place of reading the file: the CLI
+# fills it as it hashes the files for its cache key and clears it per command
+LOADED: dict = {}
 
 
 class ExprError(ValueError):
@@ -170,6 +174,8 @@ class _Parser:
             den = self.expect("num")
             if "." in den[1] or "." in tok[1]:
                 raise ExprError("rational literals take integer parts", den[2])
+            if not int(den[1]):
+                raise ExprError("zero denominator", den[2])
             value = Fraction(int(tok[1]), int(den[1]))
         return value
 
@@ -353,8 +359,8 @@ def evaluate(node, approx: bool = False):
     if isinstance(node, Named):
         return build_named(node.name, node.params)
     if isinstance(node, Load):
-        with open(node.path, "r", encoding="ascii") as handle:
-            return graph6_decode(handle.read().strip())
+        data = LOADED[node.path] if node.path in LOADED else Path(node.path).read_bytes()
+        return graph6_decode(data.decode("ascii").strip())
     if isinstance(node, Complement):
         inner = evaluate(node.inner, approx)
         return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
@@ -388,7 +394,7 @@ def evaluate(node, approx: bool = False):
     raise TypeError(f"not a construction node: {node!r}")
 
 
-_QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]+)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")
+_QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]*[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")
 
 
 def parse_quantum(text: str, t: int | None = None) -> QuantumGraph:
@@ -424,4 +430,7 @@ def parse_quantum(text: str, t: int | None = None) -> QuantumGraph:
                 f"order is ambiguous among {candidates}; pass t explicitly"
             )
         t = candidates[0]
+    for name, _ in terms:
+        if name not in iso_table(t).names:
+            raise ExprError(f"unknown type name {name!r} at order {t}")
     return QuantumGraph.from_pairs(t, terms)

@@ -2,45 +2,47 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+
+from .profiles import clear_denominators, divide
 
 
 def solve_rational_kernel(matrix) -> list:
-    """Basis of the null space of a rational matrix, exactly.
+    """Basis of the null space of a matrix of ints and Fractions, exactly.
 
-    Rows are eliminated left to right with the first nonzero pivot, so the
-    result is deterministic; each basis vector has a 1 in one free column.
+    Rows are scaled to integers once and eliminated fraction-free after
+    Bareiss (1968), each updated row reduced by the gcd of its entries.
+    Pivots are the first nonzero entries left to right, so the reduced
+    echelon form and the basis are Gauss-Jordan's: each basis vector has a 1
+    in one free column and is divided once, by the lcm of the pivots.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [clear_denominators(row)[1] for row in matrix]
     pivots: list[int] = []
-    r = 0
     for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, m) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        top = a[r]
+        p = top[c]
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = [x * p - f * y for x, y in zip(a[i], top)]
+                g = math.gcd(*row) or 1
+                a[i] = [x // g for x in row]
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    free = [c for c in range(n) if c not in pivots]
+    den = math.lcm(*(a[i][pc] for i, pc in enumerate(pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = den
         for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
+            v[pc] = -a[i][fc] * (den // a[i][pc])
+        basis.append(list(divide(v, den)))
     return basis

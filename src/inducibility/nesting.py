@@ -79,14 +79,11 @@ class TransitionMatrix:
         size = len(iso_table(self.t).entries)
         if len(self.rows) != size or any(len(r) != size for r in self.rows):
             raise ValueError("matrix shape does not match the type table")
-        for j in range(size):
-            if sum(self.rows[i][j] for i in range(size)) != 1:
-                raise ValueError("columns must sum to one")
+        if any(sum(col) != 1 for col in zip(*self.rows)):
+            raise ValueError("columns must sum to one")
 
     def apply(self, values) -> tuple:
-        return tuple(
-            sum(r * v for r, v in zip(row, values) if v != 0) for row in self.rows
-        )
+        return tuple(sum(r * v for r, v in zip(row, values) if v != 0) for row in self.rows)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -104,14 +101,12 @@ def transition_matrix(G: LabeledGraph, t: int) -> TransitionMatrix:
     table = iso_table(t)
     ordered = _outer_counts(G, t)
     total = G.n ** t
-    size = len(table.entries)
     cols = []
     for e in table.entries:
         nums = partition_lift(t, ordered, dict.fromkeys(e.orbit, 1))
         den = total * e.orbit_size
         cols.append([Fraction(nums[f.rep_mask] * f.orbit_size, den) for f in table.entries])
-    rows = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    return TransitionMatrix(t=t, rows=rows)
+    return TransitionMatrix(t=t, rows=tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -138,23 +133,18 @@ def stationary_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUD
     """
     check_subset_budget(G.n, t, budget)
     F = transition_matrix(G, t)
-    size = len(F.rows)
-    shifted = [
-        [F.rows[i][j] - (1 if i == j else 0) for j in range(size)] for i in range(size)
-    ]
+    shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(F.rows)]
     basis = solve_rational_kernel(shifted)
     if len(basis) != 1:
         raise DegenerateStationaryError(
             f"fixed-point space has dimension {len(basis)}"
         )
-    vec = basis[0]
-    total = sum(vec)
+    total = sum(basis[0])
     if total == 0:
         raise DegenerateStationaryError("fixed vector has zero total mass")
-    q = [v / total for v in vec]
-    if any(v < 0 for v in q):
+    values = tuple(v / total for v in basis[0])
+    if any(v < 0 for v in values):
         raise DegenerateStationaryError("fixed vector leaves the simplex")
-    values = tuple(q)
     if F.apply(values) != values:
         raise AssertionError("stationary residual is nonzero")
     profile = ProfileVector(t=t, flavor="repetitive", values=values)

@@ -348,27 +348,31 @@ def induced_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET
     return ProfileVector(t=t, flavor="induced", values=values)
 
 
-def _repetitive_by_assignments(M: StepModel, t: int) -> list:
-    exact = M.exact
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+def _repetitive_by_assignments(M: StepModel, t: int) -> tuple:
+    """Numerators and denominator of the labeled repetitive t-profile of a
+    step model, over its k^t type assignments.  With masses scaled by D and
+    probabilities by E to integers (clear_denominators), a deterministic
+    slot multiplies a weight by E and a slot of probability p splits a
+    weight v into v*p and v*E - v*p; the total is D^t * E^m."""
     m = masks.slot_count(t)
-    out = [zero] * (1 << m)
     pairs = masks.pair_slots(t)
-    w = M.w
-    mass = M.masses
+    D, mass = clear_denominators(M.masses)
+    E, flat = clear_denominators([p for row in M.w for p in row])
+    w = [flat[i:i + M.k] for i in range(0, len(flat), M.k)]
+    det_factor = [E ** c for c in range(m + 1)]
+    out = [0] * (1 << m)
     for assign in itertools.product(range(M.k), repeat=t):
-        weight = one
-        for x in assign:
-            weight = weight * mass[x]
         det_mask = 0
         branch = []
         for s, (i, j) in enumerate(pairs):
             p = w[assign[i]][assign[j]]
-            if p == 1:
+            if p == E:
                 det_mask |= 1 << s
-            elif p != 0:
+            elif p:
                 branch.append((1 << s, p))
+        weight = det_factor[m - len(branch)]
+        for x in assign:
+            weight = weight * mass[x]
         if not branch:
             out[det_mask] += weight
             continue
@@ -377,14 +381,14 @@ def _repetitive_by_assignments(M: StepModel, t: int) -> list:
             nxt: dict = {}
             for mk, wv in acc.items():
                 hit = wv * p
-                miss = wv - hit
-                nxt[mk | bit] = nxt.get(mk | bit, zero) + hit
+                miss = wv * E - hit
+                nxt[mk | bit] = nxt.get(mk | bit, 0) + hit
                 if miss:
-                    nxt[mk] = nxt.get(mk, zero) + miss
+                    nxt[mk] = nxt.get(mk, 0) + miss
             acc = nxt
         for mk, wv in acc.items():
             out[mk] += wv
-    return out
+    return out, D ** t * E ** m
 
 
 def _ordered(ell: int, unordered: dict) -> dict:
@@ -460,9 +464,17 @@ def partition_lift(t: int, ordered: dict, inner=None) -> list:
     return out
 
 
+def clear_denominators(values) -> tuple:
+    """The lcm d of the denominators and the values times d, as integers;
+    floats stay as they are under d = 1.0, so they round as unscaled."""
+    if not is_exact(values):
+        return 1.0, list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def divide(numerators, denominator: int) -> tuple:
-    """Divide the numerators of partition_lift by their total weight, into
-    Fractions unless one numerator is a float."""
+    """Numerators over one denominator, as Fractions unless one is a float."""
     if is_exact(numerators):
         return tuple(Fraction(v, denominator) for v in numerators)
     return tuple(v / denominator for v in numerators)
@@ -484,16 +496,15 @@ def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
         G = LabeledGraph(source.k, tuple(rows))
     if isinstance(G, LabeledGraph):
         check_subset_budget(G.n, t, budget)
-        values = divide(partition_lift(t, ordered_counts(G, t)), G.n ** t)
-        return LabeledProfile(t=t, flavor="r", values=values)
-    direct_cost = source.k ** t
-    if direct_cost > budget:
+        numerators, denominator = partition_lift(t, ordered_counts(G, t)), G.n ** t
+    elif source.k ** t > budget:
         raise BudgetError(
-            f"{direct_cost} assignments exceed the budget of {budget}; "
+            f"{source.k ** t} assignments exceed the budget of {budget}; "
             "consider monte_carlo_profile"
         )
-    values = _repetitive_by_assignments(source, t)
-    return LabeledProfile(t=t, flavor="r", values=tuple(values))
+    else:
+        numerators, denominator = _repetitive_by_assignments(source, t)
+    return LabeledProfile(t=t, flavor="r", values=divide(numerators, denominator))
 
 
 def labeled_repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:

@@ -18,6 +18,7 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
+    divide,
     iso_table,
     labeled_repetitive,
 )
@@ -42,11 +43,7 @@ def fwht_forward(values) -> list:
 
 
 def fwht_inverse(values) -> list:
-    vec = fwht_forward(values)
-    n = len(vec)
-    if not is_exact(vec):
-        return [v / n for v in vec]
-    return [Fraction(v, n) if not isinstance(v, Fraction) else v / n for v in vec]
+    return list(divide(fwht_forward(values), len(values)))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,89 @@
+"""Slow reference routes kept as oracles for the integer ones: the Fraction
+enumerator of a step model's labeled repetitive profile and Fraction
+Gauss-Jordan elimination.  They share no arithmetic with the package."""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from inducibility import masks
+
+
+def repetitive_by_assignments(M, t: int) -> list:
+    """Labeled repetitive t-profile of a step model, one assignment of types
+    at a time, in Fractions for an exact model and in floats otherwise."""
+    exact = M.exact
+    zero = Fraction(0) if exact else 0.0
+    one = Fraction(1) if exact else 1.0
+    m = masks.slot_count(t)
+    out = [zero] * (1 << m)
+    pairs = masks.pair_slots(t)
+    w = M.w
+    mass = M.masses
+    for assign in itertools.product(range(M.k), repeat=t):
+        weight = one
+        for x in assign:
+            weight = weight * mass[x]
+        det_mask = 0
+        branch = []
+        for s, (i, j) in enumerate(pairs):
+            p = w[assign[i]][assign[j]]
+            if p == 1:
+                det_mask |= 1 << s
+            elif p != 0:
+                branch.append((1 << s, p))
+        if not branch:
+            out[det_mask] += weight
+            continue
+        acc = {det_mask: weight}
+        for bit, p in branch:
+            nxt: dict = {}
+            for mk, wv in acc.items():
+                hit = wv * p
+                miss = wv - hit
+                nxt[mk | bit] = nxt.get(mk | bit, zero) + hit
+                if miss:
+                    nxt[mk] = nxt.get(mk, zero) + miss
+            acc = nxt
+        for mk, wv in acc.items():
+            out[mk] += wv
+    return out
+
+
+def rational_kernel(matrix) -> list:
+    """Basis of the null space of a rational matrix by Gauss-Jordan
+    elimination in Fractions; each basis vector has a 1 in one free column."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    a = [[Fraction(x) for x in row] for row in matrix]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot_row = None
+        for i in range(r, m):
+            if a[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(v)
+    return basis

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -154,10 +155,23 @@ def test_error_paths_exit_two(capsys):
         ["bounds", "--t", "200000"],
         ["estimate", "--t", "3", "--samples", "100000000000", "--budget", "10", "--seed", "1", "C5"],
         ["tables", "--which", "headline", "--budget", "1"],
+        ["density", "--t", "4", "--quantum", "K3", "C5"],
+        ["profile", "--t", "3", "union(K2:1/0)"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
         assert "error:" in err
+
+
+def test_expression_errors_read_plainly(capsys):
+    # an unknown type name and a zero denominator are expression errors,
+    # not the str of a KeyError or a ZeroDivisionError
+    for argv, message in (
+        (["density", "--t", "4", "--quantum", "K3", "C5"], "unknown type name 'K3' at order 4"),
+        (["profile", "--t", "3", "union(K2:1/0)"], "zero denominator (at column 12)"),
+        (["density", "--t", "3", "--quantum", "1/0*K3", "C5"], "bad quantum term '1/0*K3'"),
+    ):
+        assert _run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_nested_bases_above_graph6_order(capsys):
@@ -237,6 +251,46 @@ def test_cache_follows_the_content_of_loaded_files(capsys, tmp_path, monkeypatch
         k3[name] = (entry["type"], entry["num"], entry["den"])
     assert k3 == {"C5": ("K3", "0", "1"), "K5": ("K3", "12", "25")}
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_cache_key_and_graph_come_from_one_read(capsys, tmp_path, monkeypatch):
+    # the file is rewritten after the key hashed it: the answer and the
+    # entry stored under that key must both be of the bytes that were hashed
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "g.g6"
+    c5, k5 = (graph6_encode(build_named(name, [5])) + "\n" for name in "CK")
+    argv = ["profile", "--t", "3", "--cache", "cache", 'load("g.g6")']
+    key = cli._cache_key
+
+    def key_then_rewrite(args):
+        out = key(args)
+        path.write_text(k5, encoding="ascii")
+        return out
+
+    path.write_text(c5, encoding="ascii")
+    monkeypatch.setattr(cli, "_cache_key", key_then_rewrite)
+    assert _run_json(capsys, argv)["values"][0]["num"] == "0"
+    monkeypatch.setattr(cli, "_cache_key", key)
+    # K5 now, a miss; then C5 again, answered from the entry of the first run
+    assert _run_json(capsys, argv)["values"][0]["num"] == "12"
+    path.write_text(c5, encoding="ascii")
+    entries = sorted((tmp_path / "cache").glob("*.json"))
+    assert len(entries) == 2
+    assert _run_json(capsys, argv)["values"][0]["num"] == "0"
+    assert sorted((tmp_path / "cache").glob("*.json")) == entries
+
+
+@pytest.mark.parametrize("entry", ["{", "[1]", '{"meta": {}}'])
+def test_unreadable_cache_entry_is_a_miss(capsys, tmp_path, entry):
+    argv = ["profile", "--t", "3", "--cache", str(tmp_path), "C5"]
+    expected = _run(capsys, argv[:3] + argv[5:])
+    path = tmp_path / (_key(argv) + ".json")
+    path.write_text(entry, encoding="utf-8")
+    assert _run(capsys, argv) == expected
+    # the entry was replaced by the payload, and now serves a hit
+    assert json.loads(path.read_text(encoding="utf-8")) == json.loads(expected[1])
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert _run(capsys, argv) == expected
 
 
 def test_table_layouts(capsys):
@@ -321,6 +375,15 @@ def test_cli_import_leaves_numpy_out():
     code = "import sys, inducibility.cli; sys.exit('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=ROOT)
     assert result.returncode == 0
+
+
+def test_benchmark_oracle_checks_import():
+    # bench/check.py imports names from the package at load; a name deleted
+    # here would fail every oracle of a benchmark run instead of this test
+    spec = importlib.util.spec_from_file_location("bench_check", ROOT / "bench" / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.ORACLES and callable(module.main)
 
 
 @pytest.mark.parametrize(

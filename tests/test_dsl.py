@@ -238,7 +238,7 @@ def test_parse_quantum_inference_and_errors():
 def test_quantum_explicit_order():
     Q = parse_quantum("bull + C5", t=5)
     assert Q.t == 5
-    with pytest.raises(KeyError):
+    with pytest.raises(ExprError, match="^unknown type name 'K4' at order 5$"):
         parse_quantum("K4", t=5)
     # order-5 canonical names use graph6 characters the term syntax rejects
     with pytest.raises(ExprError):

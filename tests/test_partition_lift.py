@@ -1,5 +1,6 @@
-"""Differential tests of every partition-lift route against the per-assignment
-enumerator, which shares no code with the lift."""
+"""Differential tests of every partition-lift route against the Fraction
+per-assignment enumerator of tests/oracles.py, which shares no code with
+the lift."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from inducibility.models import StepModel, from_graph
 from inducibility.nesting import compose_profile, transition_matrix
 from inducibility.profiles import (
     LabeledProfile,
-    _repetitive_by_assignments,
     induced_profile,
     labeled_repetitive,
     labeled_repetitive_profile,
@@ -22,6 +22,7 @@ from inducibility.profiles import (
     repetitive_profile,
 )
 from inducibility.spectral import fourier, model_spectrum
+from oracles import repetitive_by_assignments
 
 orders = st.integers(2, 5)
 # half 0/1, since every fractional pair doubles the oracle's branches
@@ -71,7 +72,7 @@ def substitute(G, M: StepModel) -> StepModel:
 
 
 def oracle(M: StepModel, t: int) -> LabeledProfile:
-    return LabeledProfile(t=t, flavor="r", values=tuple(_repetitive_by_assignments(M, t)))
+    return LabeledProfile(t=t, flavor="r", values=tuple(repetitive_by_assignments(M, t)))
 
 
 @st.composite

@@ -36,7 +36,7 @@ def test_fwht_round_trip():
 
 
 def test_approximate_spectrum_round_trips():
-    # float values take the float branch of fwht_inverse
+    # float values stay floats through the one division of fwht_inverse
     M = model_union([(from_graph(build_named("K", [2])), 1.0), (bernoulli(0.3), 3.7320508075688772)])
     for t in (2, 3, 4):
         lab = labeled_repetitive_profile(M, t)
