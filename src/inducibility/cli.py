@@ -252,14 +252,24 @@ def _cache_key(args) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+# the keys of each command's payload; every other command writes a profile
+_PAYLOAD_KEYS = {
+    "tables": {"command", "which", "rows", "meta"},
+    "convert": {"command", "n", "graph6", "edges", "meta"},
+}
+
+
 def _cache_load(directory: str, key: str):
-    """The cached payload, or None for a missing or unreadable entry."""
+    """The cached payload, or None for a missing or unreadable entry or one
+    without the keys its command writes."""
     try:
         payload = json.loads(Path(directory, key + ".json").read_bytes())
     except (OSError, ValueError):
         return None
-    readable = isinstance(payload, dict) and "command" in payload and isinstance(payload.get("meta"), dict)
-    return payload if readable else None
+    if not isinstance(payload, dict):
+        return None
+    keys = _PAYLOAD_KEYS.get(str(payload.get("command")), {"command", "t", "basis", "values", "meta"})
+    return payload if set(payload) == keys and isinstance(payload["meta"], dict) else None
 
 
 def _cache_store(directory: str, key: str, payload: dict) -> None:

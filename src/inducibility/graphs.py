@@ -9,7 +9,6 @@ clique, and complementation flips loops along with edges.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
@@ -41,12 +40,9 @@ class LabeledGraph:
         for u, row in enumerate(self.rows):
             if not 0 <= row < limit:
                 raise ValueError(f"adjacency row {u} out of range")
-            bits = row
-            while bits:
-                v = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                if not (self.rows[v] >> u) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        for u, extra in enumerate(row & ~col for row, col in zip(self.rows, transpose(self.rows))):
+            if extra:
+                raise ValueError(f"adjacency not symmetric at ({u}, {(extra & -extra).bit_length() - 1})")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -84,6 +80,32 @@ class LabeledGraph:
     def __repr__(self):
         tag = "" if self.is_loopless else f", loops={self.loops()}"
         return f"LabeledGraph(n={self.n}, edges={self.edge_count()}{tag})"
+
+
+def _clear_masks(width: int) -> list[int]:
+    """For width a power of two, mask i selects the columns below width
+    whose bit i is clear: runs of 2**i ones and 2**i zeros."""
+    full = (1 << width) - 1
+    runs = (1 << i for i in range(width.bit_length() - 1))
+    return [full // ((1 << 2 * j) - 1) * ((1 << j) - 1) for j in runs]
+
+
+def transpose(rows) -> list[int]:
+    """Transpose of the square bit matrix whose entry (u, v) is bit v of
+    rows[u].  Padded to a power of two, it swaps blocks level by level: at
+    width j, rows k and k + j (bit j of k clear) exchange the off-diagonal
+    j-blocks under one mask (Warren, Hacker's Delight, 7-3)."""
+    n = len(rows)
+    width = 1 << (n - 1).bit_length()
+    out = list(rows) + [0] * (width - n)
+    for i, mask in enumerate(_clear_masks(width)):
+        j = 1 << i
+        for k in range(width):
+            if not k & j:
+                swap = ((out[k] >> j) ^ out[k + j]) & mask
+                out[k] ^= swap << j
+                out[k + j] ^= swap
+    return out[:n]
 
 
 def from_edges(n: int, edges=(), loops=()) -> LabeledGraph:
@@ -126,28 +148,19 @@ def complement(G: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(G.n, tuple(row ^ full for row in G.rows))
 
 
+def _widen(row: int, n: int, m: int) -> int:
+    """Each of the n bits of row widened to a block of m equal bits."""
+    return int(format(row, f"0{n}b").translate({48: "0" * m, 49: "1" * m}), 2)
+
+
 def blow_up(G: LabeledGraph, m: int) -> LabeledGraph:
     """Replace each vertex by m copies; copies of a looped vertex form a
     clique, copies of a loopless vertex stay independent.  The result is
     always loopless."""
     if m < 1:
         raise ValueError("blow-up factor must be at least 1")
-    n = G.n
-    block = (1 << m) - 1
-    level = []
-    for g in range(n):
-        row = 0
-        bits = G.rows[g]
-        while bits:
-            g2 = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            row |= block << (g2 * m)
-        level.append(row)
-    rows = []
-    for g in range(n):
-        for h in range(m):
-            rows.append(level[g] & ~(1 << (g * m + h)))
-    return LabeledGraph(n * m, tuple(rows))
+    level = [_widen(row, G.n, m) for row in G.rows]
+    return LabeledGraph(G.n * m, tuple(level[g] & ~(1 << (g * m + h)) for g in range(G.n) for h in range(m)))
 
 
 def compose(G: LabeledGraph, H: LabeledGraph) -> LabeledGraph:
@@ -156,22 +169,8 @@ def compose(G: LabeledGraph, H: LabeledGraph) -> LabeledGraph:
     if not G.is_loopless or not H.is_loopless:
         raise ValueError("composition is defined for loopless graphs")
     nh = H.n
-    block = (1 << nh) - 1
-    outer = []
-    for g in range(G.n):
-        row = 0
-        bits = G.rows[g]
-        while bits:
-            g2 = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            row |= block << (g2 * nh)
-        outer.append(row)
-    rows = []
-    for g in range(G.n):
-        base = outer[g]
-        shift = g * nh
-        for h in range(H.n):
-            rows.append(base | (H.rows[h] << shift))
+    wide = [_widen(row, G.n, nh) for row in G.rows]
+    rows = (w | (hrow << (g * nh)) for g, w in enumerate(wide) for hrow in H.rows)
     return LabeledGraph(G.n * nh, tuple(rows))
 
 
@@ -181,18 +180,10 @@ def tensor(G: LabeledGraph, H: LabeledGraph, *more: LabeledGraph) -> LabeledGrap
     if more:
         return reduce(tensor, (G, H) + more)
     nh = H.n
-    hfull = (1 << nh) - 1
-    rows = []
-    for g in range(G.n):
-        grow = G.rows[g]
-        for h in range(H.n):
-            hrow = H.rows[h]
-            row = 0
-            for g2 in range(G.n):
-                blockrow = hrow ^ hfull if (grow >> g2) & 1 else hrow
-                row |= blockrow << (g2 * nh)
-            rows.append(row)
-    return LabeledGraph(G.n * nh, tuple(rows))
+    # row (g, h) is row h of H in every block, flipped in the blocks of g's neighbours
+    ones = ((1 << (G.n * nh)) - 1) // ((1 << nh) - 1)
+    wide = [_widen(row, G.n, nh) for row in G.rows]
+    return LabeledGraph(G.n * nh, tuple(hrow * ones ^ w for w in wide for hrow in H.rows))
 
 
 def disjoint_union(G: LabeledGraph, H: LabeledGraph, *more: LabeledGraph) -> LabeledGraph:
@@ -229,11 +220,11 @@ def _cycle(n: int) -> LabeledGraph:
 # Families with one size parameter, by name: complete, empty, cycle, path,
 # and complete with a loop at every vertex.
 FAMILIES = {
-    "K": lambda n: from_edges(n, itertools.combinations(range(n), 2)),
+    "K": lambda n: _complete_multipartite([1] * n),
     "A": from_edges,
     "C": _cycle,
     "P": lambda n: from_edges(n, [(i, i + 1) for i in range(n - 1)]),
-    "loopK": lambda n: from_edges(n, itertools.combinations(range(n), 2), loops=range(n)),
+    "loopK": lambda n: LabeledGraph(n, ((1 << n) - 1,) * n),
 }
 
 
@@ -243,11 +234,11 @@ def _complete_multipartite(sizes) -> LabeledGraph:
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
     check_order(n)
-    bounds = list(itertools.accumulate(sizes))
-    part = []
-    for v in range(n):
-        part.append(next(i for i, b in enumerate(bounds) if v < b))
-    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+    full = (1 << n) - 1
+    rows = []
+    for s in sizes:
+        rows += [full ^ (((1 << s) - 1) << len(rows))] * s
+    return LabeledGraph(n, tuple(rows))
 
 
 def _paley(q: int) -> LabeledGraph:
@@ -293,13 +284,13 @@ def _cayley2(n: int, weights) -> LabeledGraph:
     if not wset or not all(isinstance(w, int) and 0 <= w <= n for w in wset):
         raise ValueError("weights must be integers in 0..n")
     size = 1 << n
-    gens = [g for g in range(size) if g.bit_count() in wset]
-    rows = []
-    for u in range(size):
-        row = 0
-        for g in gens:
-            row |= 1 << (u ^ g)
-        rows.append(row)
+    clear = _clear_masks(size)
+    # row u is row u ^ j with its columns xored by j = lowbit(u): a j-block swap
+    rows = [sum(1 << g for g in range(size) if g.bit_count() in wset)]
+    for u in range(1, size):
+        j = u & -u
+        row, mask = rows[u ^ j], clear[j.bit_length() - 1]
+        rows.append(((row >> j) & mask) | ((row & mask) << j))
     return LabeledGraph(size, tuple(rows))
 
 

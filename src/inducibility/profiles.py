@@ -137,7 +137,8 @@ def iso_table(t: int) -> IsoTable:
 
 def _validate_distribution(values, what: str) -> None:
     tol = 0 if is_exact(values) else APPROX_TOL
-    if abs(sum(values) - 1) > tol:
+    d, values = clear_denominators(values)
+    if abs(sum(values) - d) > tol:
         raise ValueError(f"{what} must sum to one")
     if any(v < -tol for v in values):
         raise ValueError(f"{what} must be nonnegative")
@@ -552,6 +553,16 @@ def _packed_adjacency(G: LabeledGraph):
     return raw.reshape(G.n, nbytes)
 
 
+def _packed_source(source):
+    """What sampling reads, converted once per estimate: a graph's packed
+    adjacency rows, or a model's normalized float masses and weights."""
+    import numpy as np
+    if isinstance(source, LabeledGraph):
+        return _packed_adjacency(source)
+    mass = np.array([float(mu) for mu in source.masses])
+    return mass / mass.sum(), np.array([[float(p) for p in row] for row in source.w])
+
+
 @dataclass(frozen=True)
 class EstimatedProfile:
     """Monte Carlo estimate of a repetitive profile with binomial errors."""
@@ -579,13 +590,13 @@ def _shard_sizes(samples: int, shards: int) -> list[int]:
 _BATCH = 1 << 20
 
 
-def _sample_masks(source, t, rng, count, pairs):
-    """Yield int64 mask arrays for `count` samples from a graph or model."""
+def _sample_masks(packed, t, rng, count, pairs):
+    """Yield int64 mask arrays for `count` samples from a graph or model
+    packed by _packed_source."""
     import numpy as np
-    if isinstance(source, LabeledGraph):
-        packed = _packed_adjacency(source)
-        n = source.n
-        done = 0
+    done = 0
+    if not isinstance(packed, tuple):
+        n = len(packed)
         while done < count:
             batch = min(count - done, _BATCH)
             verts = rng.integers(0, n, size=(batch, t))
@@ -596,11 +607,8 @@ def _sample_masks(source, t, rng, count, pairs):
             yield mask
             done += batch
     else:
-        mass = np.array([float(mu) for mu in source.masses])
-        mass = mass / mass.sum()
-        wf = np.array([[float(p) for p in row] for row in source.w])
-        k = source.k
-        done = 0
+        mass, wf = packed
+        k = len(mass)
         while done < count:
             batch = min(count - done, _BATCH)
             types = rng.choice(k, size=(batch, t), p=mass)
@@ -629,11 +637,12 @@ def monte_carlo_profile(source, t: int, samples: int, seed: int, shards: int = M
     table = iso_table(t)
     pairs = masks.pair_slots(t)
     counts = np.zeros(1 << masks.slot_count(t), dtype=np.int64)
+    packed = _packed_source(source)
     for seq, count in zip(np.random.SeedSequence(seed).spawn(shards), _shard_sizes(samples, shards)):
         if count == 0:
             continue
         rng = np.random.default_rng(seq)
-        for mask in _sample_masks(source, t, rng, count, pairs):
+        for mask in _sample_masks(packed, t, rng, count, pairs):
             counts += np.bincount(mask, minlength=counts.size)
     type_counts = np.zeros(len(table.entries), dtype=np.int64)
     np.add.at(type_counts, np.array(table.index, dtype=np.int64), counts)
@@ -662,11 +671,12 @@ def monte_carlo_monochromatic(source, t: int, samples: int, seed: int, shards: i
     nslots = len(pairs)
     full = (1 << nslots) - 1
     hits = 0
+    packed = _packed_source(source)
     for seq, count in zip(np.random.SeedSequence(seed).spawn(shards), _shard_sizes(samples, shards)):
         if count == 0:
             continue
         rng = np.random.default_rng(seq)
-        for mask in _sample_masks(source, t, rng, count, pairs):
+        for mask in _sample_masks(packed, t, rng, count, pairs):
             hits += int(np.count_nonzero(mask == full)) + int(np.count_nonzero(mask == 0))
     est = hits / samples
     err = math.sqrt(est * (1.0 - est) / samples)

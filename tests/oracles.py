@@ -1,6 +1,8 @@
-"""Slow reference routes kept as oracles for the integer ones: the Fraction
-enumerator of a step model's labeled repetitive profile and Fraction
-Gauss-Jordan elimination.  They share no arithmetic with the package."""
+"""Slow reference routes kept as oracles for the fast ones: the Fraction
+enumerator of a step model's labeled repetitive profile, Fraction
+Gauss-Jordan elimination, and the bit-by-bit graph routines that the
+block-swap transpose and the translated cayley2 rows replaced.  They share
+no arithmetic with the package."""
 
 from __future__ import annotations
 
@@ -87,3 +89,36 @@ def rational_kernel(matrix) -> list:
             v[pc] = -a[i][fc]
         basis.append(v)
     return basis
+
+
+def transpose_bits(rows) -> list:
+    """Transpose of a square bit matrix, one entry at a time."""
+    n = len(rows)
+    return [sum(((rows[v] >> u) & 1) << v for v in range(n)) for u in range(n)]
+
+
+def symmetry_violation(rows):
+    """The first (u, v), in row order and then column order, with v set in
+    row u and u missing from row v; None for a symmetric matrix."""
+    for u, row in enumerate(rows):
+        bits = row
+        while bits:
+            v = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            if not (rows[v] >> u) & 1:
+                return u, v
+    return None
+
+
+def cayley2_rows(n: int, weights) -> list:
+    """Rows of the Cayley graph of n-bit vectors under xor whose connection
+    set is the vectors of Hamming weight in `weights`, one generator at a
+    time."""
+    gens = [g for g in range(1 << n) if g.bit_count() in set(weights)]
+    rows = []
+    for u in range(1 << n):
+        row = 0
+        for g in gens:
+            row |= 1 << (u ^ g)
+        rows.append(row)
+    return rows

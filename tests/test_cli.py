@@ -157,6 +157,8 @@ def test_error_paths_exit_two(capsys):
         ["tables", "--which", "headline", "--budget", "1"],
         ["density", "--t", "4", "--quantum", "K3", "C5"],
         ["profile", "--t", "3", "union(K2:1/0)"],
+        ["profile", "--t", "3", "--budget", "10", "K3000"],
+        ["profile", "--t", "3", "--budget", "10", "cayley2(12; 1, 2, 3, 4, 5, 6)"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
@@ -280,7 +282,9 @@ def test_cache_key_and_graph_come_from_one_read(capsys, tmp_path, monkeypatch):
     assert sorted((tmp_path / "cache").glob("*.json")) == entries
 
 
-@pytest.mark.parametrize("entry", ["{", "[1]", '{"meta": {}}'])
+@pytest.mark.parametrize(
+    "entry", ["{", "[1]", '{"meta": {}}', '{"command": "profile:repetitive", "meta": {}}', '{"command": [1], "meta": {}}']
+)
 def test_unreadable_cache_entry_is_a_miss(capsys, tmp_path, entry):
     argv = ["profile", "--t", "3", "--cache", str(tmp_path), "C5"]
     expected = _run(capsys, argv[:3] + argv[5:])

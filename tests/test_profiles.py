@@ -13,6 +13,7 @@ from inducibility.profiles import (
     ProfileVector,
     QuantumGraph,
     _packed_adjacency,
+    _packed_source,
     _repetitive_by_assignments,
     _sample_masks,
     divide,
@@ -251,7 +252,7 @@ def test_sampled_masks_follow_the_adjacency_rows():
     G = _random_loopless(random.Random(4), 19)
     t = 4
     pairs = masks.pair_slots(t)
-    (got,) = _sample_masks(G, t, np.random.default_rng(5), 2000, pairs)
+    (got,) = _sample_masks(_packed_source(G), t, np.random.default_rng(5), 2000, pairs)
     verts = np.random.default_rng(5).integers(0, G.n, size=(2000, t))
     want = [
         sum(((G.rows[row[i]] >> row[j]) & 1) << s for s, (i, j) in enumerate(pairs)) for row in verts.tolist()
