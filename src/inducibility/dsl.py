@@ -3,7 +3,8 @@
 A small text language for graphs and step models: named leaves (K3, C5,
 loopK1, paley(9), cayley2(10; 1,2,5), fixed 4-vertex names, bull), the
 operators complement, blowup, compose, tensor and union, and the random
-models bernoulli(p) and bipartite(p).  Numbers are exact rationals; pass
+models bernoulli(p) and bipartite(p).  Every construction parses to one
+Node named by its operator or leaf.  Numbers are exact rationals; pass
 approx=True at evaluation to push every numeric weight to float.  Names and
 the size cap belong to graphs.
 """
@@ -56,65 +57,17 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-def _span() -> tuple:
-    return field(default=(0, 0), compare=False, repr=False)
-
-
 @dataclass(frozen=True)
-class Named:
-    name: str
-    params: tuple = ()
-    span: tuple = _span()
+class Node:
+    """One construction: `op` is the language's own name for it (a family
+    such as K, a fixed name such as C4, kpart, paley, cayley2, complement,
+    blowup, compose, tensor, union, bernoulli, bipartite or load) and
+    `args` holds its child nodes, (node, weight) pairs for union, integers,
+    a number or a path, in text order."""
 
-
-@dataclass(frozen=True)
-class Complement:
-    inner: object
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class BlowUp:
-    inner: object
-    m: int = 1
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class Compose:
-    left: object
-    right: object
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class Tensor:
-    factors: tuple = ()
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class Union:
-    parts: tuple = ()
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class Bernoulli:
-    p: Fraction = Fraction(0)
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class BipartiteRandom:
-    p: Fraction = Fraction(0)
-    span: tuple = _span()
-
-
-@dataclass(frozen=True)
-class Load:
-    path: str = ""
-    span: tuple = _span()
+    op: str
+    args: tuple = ()
+    span: tuple = field(default=(0, 0), compare=False, repr=False)
 
 
 _TOKEN_RE = re.compile(
@@ -201,10 +154,10 @@ class _Parser:
     def _leaf(self, name: str, pos: int):
         span = (pos, pos + len(name))
         if name in FIXED_EDGES:  # a fixed name such as C4 wins over its family
-            return Named(name=name, span=span)
+            return Node(name, (), span)
         m = _FAMILY_RE.match(name)
         if m:
-            return Named(name=m.group(1), params=(int(m.group(2)),), span=span)
+            return Node(m.group(1), (int(m.group(2)),), span)
         raise ExprError(f"unknown construction {name!r}", pos)
 
     def _args_until_close(self, parse_one, separators=(",",)):
@@ -227,52 +180,42 @@ class _Parser:
 
     def _call(self, name: str, pos: int):
         if name == "complement":
-            return Complement(inner=self.parse_expr(), span=(pos, self.peek()[2]))
-        if name == "blowup":
-            inner = self.parse_expr()
+            args = [self.parse_expr()]
+        elif name == "blowup":
+            args = [self.parse_expr()]
             if not self.at_symbol(","):
                 raise ExprError("blowup takes a construction and a positive count", self.peek()[2])
             self.next()
-            m = self.parse_int()
-            if m < 1:
+            args.append(self.parse_int())
+            if args[1] < 1:
                 raise ExprError("blowup count must be positive", pos)
-            return BlowUp(inner=inner, m=m, span=(pos, self.peek()[2]))
-        if name == "compose":
+        elif name in ("compose", "tensor"):
             args = self._args_until_close(self.parse_expr)
             if len(args) < 2:
-                raise ExprError("compose takes at least two constructions", pos)
-            node = args[0]
-            for right in args[1:]:
-                node = Compose(left=node, right=right, span=(pos, self.peek()[2]))
-            return node
-        if name == "tensor":
-            args = self._args_until_close(self.parse_expr)
-            if len(args) < 2:
-                raise ExprError("tensor takes at least two constructions", pos)
-            return Tensor(factors=tuple(args), span=(pos, self.peek()[2]))
-        if name == "union":
-            parts = self._args_until_close(self._weighted_part)
-            return Union(parts=tuple(parts), span=(pos, self.peek()[2]))
-        if name == "bernoulli":
-            return Bernoulli(p=self.parse_number(), span=(pos, self.peek()[2]))
-        if name == "bipartite":
-            return BipartiteRandom(p=self.parse_number(), span=(pos, self.peek()[2]))
-        if name == "load":
+                raise ExprError(f"{name} takes at least two constructions", pos)
+        elif name == "union":
+            args = self._args_until_close(self._weighted_part)
+        elif name in ("bernoulli", "bipartite"):
+            args = [self.parse_number()]
+        elif name == "load":
             tok = self.next()
             if tok[0] != "str":
                 raise ExprError("load takes a quoted path", tok[2])
-            return Load(path=tok[1], span=(pos, self.peek()[2]))
-        if name == "kpart":
-            sizes = self._args_until_close(self.parse_int)
-            return Named(name="kpart", params=tuple(sizes), span=(pos, self.peek()[2]))
-        if name == "paley":
-            return Named(name="paley", params=(self.parse_int(),), span=(pos, self.peek()[2]))
-        if name == "cayley2":
+            args = [tok[1]]
+        elif name == "kpart":
+            args = self._args_until_close(self.parse_int)
+        elif name == "paley":
+            args = [self.parse_int()]
+        elif name == "cayley2":
             args = self._args_until_close(self.parse_int, separators=(",", ";"))
             if len(args) < 2:
                 raise ExprError("cayley2 takes a dimension and weight classes", pos)
-            return Named(name="cayley2", params=tuple(args), span=(pos, self.peek()[2]))
-        raise ExprError(f"unknown operator {name!r}", pos)
+        else:
+            raise ExprError(f"unknown operator {name!r}", pos)
+        span = (pos, self.peek()[2])
+        if name == "compose":  # compose(a, b, c) is compose(compose(a, b), c)
+            return reduce(lambda left, right: Node(name, (left, right), span), args)
+        return Node(name, tuple(args), span)
 
 
 def parse_factors(text: str, separators=(",",)) -> list:
@@ -292,48 +235,28 @@ def parse_expr(text: str):
 
 def loaded_paths(node) -> list:
     """Paths of the files a construction loads, left to right."""
-    if isinstance(node, Load):
-        return [node.path]
-    if isinstance(node, (Complement, BlowUp)):
-        children = (node.inner,)
-    elif isinstance(node, Compose):
-        children = (node.left, node.right)
-    elif isinstance(node, Union):
-        children = tuple(e for e, _ in node.parts)
-    else:
-        children = getattr(node, "factors", ())
-    return [path for child in children for path in loaded_paths(child)]
+    if node.op == "load":
+        return [node.args[0]]
+    children = (arg[0] if isinstance(arg, tuple) else arg for arg in node.args)  # union: (node, weight)
+    return [path for child in children if isinstance(child, Node) for path in loaded_paths(child)]
 
 
 def print_expr(node) -> str:
     """Canonical text form; parsing it reproduces the node."""
-    if isinstance(node, Named):
-        if node.name in FAMILIES:
-            return f"{node.name}{node.params[0]}"
-        if not node.params:
-            return node.name
-        if node.name == "cayley2":
-            n, *weights = node.params
-            return f"cayley2({n}; {', '.join(str(w) for w in weights)})"
-        return f"{node.name}({', '.join(str(p) for p in node.params)})"
-    if isinstance(node, Complement):
-        return f"complement({print_expr(node.inner)})"
-    if isinstance(node, BlowUp):
-        return f"blowup({print_expr(node.inner)}, {node.m})"
-    if isinstance(node, Compose):
-        return f"compose({print_expr(node.left)}, {print_expr(node.right)})"
-    if isinstance(node, Tensor):
-        return f"tensor({', '.join(print_expr(f) for f in node.factors)})"
-    if isinstance(node, Union):
-        parts = ", ".join(f"{print_expr(e)}:{w}" for e, w in node.parts)
-        return f"union({parts})"
-    if isinstance(node, Bernoulli):
-        return f"bernoulli({node.p})"
-    if isinstance(node, BipartiteRandom):
-        return f"bipartite({node.p})"
-    if isinstance(node, Load):
-        return f'load("{node.path}")'
-    raise TypeError(f"not a construction node: {node!r}")
+    op, args = node.op, node.args
+    if op in FAMILIES:
+        return f"{op}{args[0]}"
+    if not args:
+        return op
+    if op == "load":
+        return f'load("{args[0]}")'
+    if op == "union":
+        parts = [f"{print_expr(e)}:{w}" for e, w in args]
+    else:
+        parts = [print_expr(a) if isinstance(a, Node) else str(a) for a in args]
+    if op == "cayley2":
+        return f"cayley2({parts[0]}; {', '.join(parts[1:])})"
+    return f"{op}({', '.join(parts)})"
 
 
 def _check_size(n: int, span) -> None:
@@ -348,6 +271,9 @@ def _as_model(source) -> StepModel:
     return source if isinstance(source, StepModel) else from_graph(source)
 
 
+_GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
+
+
 def evaluate(node, approx: bool = False):
     """Build the graph or step model a construction denotes.
 
@@ -356,42 +282,30 @@ def evaluate(node, approx: bool = False):
     their blow-up limits.  Named leaves refuse sizes above the cap before
     they are built; blowup, compose and tensor check their products.
     """
-    if isinstance(node, Named):
-        return build_named(node.name, node.params)
-    if isinstance(node, Load):
-        data = LOADED[node.path] if node.path in LOADED else Path(node.path).read_bytes()
+    op, args = node.op, node.args
+    if op == "load":
+        path = args[0]
+        data = LOADED[path] if path in LOADED else Path(path).read_bytes()
         return graph6_decode(data.decode("ascii").strip())
-    if isinstance(node, Complement):
-        inner = evaluate(node.inner, approx)
-        return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
-    if isinstance(node, BlowUp):
-        inner = evaluate(node.inner, approx)
-        if not isinstance(inner, LabeledGraph):
-            raise ExprError("blowup applies to graphs only", node.span[0])
-        _check_size(inner.n * node.m, node.span)
-        return blow_up(inner, node.m)
-    if isinstance(node, Compose):
-        left = evaluate(node.left, approx)
-        right = evaluate(node.right, approx)
-        if not (isinstance(left, LabeledGraph) and isinstance(right, LabeledGraph)):
-            raise ExprError("compose applies to graphs only", node.span[0])
-        _check_size(left.n * right.n, node.span)
-        return compose(left, right)
-    if isinstance(node, Tensor):
-        factors = [evaluate(f, approx) for f in node.factors]
-        if all(isinstance(f, LabeledGraph) for f in factors):
-            _check_size(math.prod(f.n for f in factors), node.span)
-            return tensor(*factors)
-        return reduce(model_tensor, map(_as_model, factors))
-    if isinstance(node, Union):
+    if op in ("bernoulli", "bipartite"):
+        p = float(args[0]) if approx else args[0]
+        return bernoulli(p) if op == "bernoulli" else bipartite_random(p)
+    if op == "union":
         return model_union(
-            [(_as_model(evaluate(e, approx)), float(w) if approx else w) for e, w in node.parts]
+            [(_as_model(evaluate(e, approx)), float(w) if approx else w) for e, w in args]
         )
-    if isinstance(node, Bernoulli):
-        return bernoulli(float(node.p) if approx else node.p)
-    if isinstance(node, BipartiteRandom):
-        return bipartite_random(float(node.p) if approx else node.p)
-    raise TypeError(f"not a construction node: {node!r}")
+    if op == "complement":
+        inner = evaluate(args[0], approx)
+        return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
+    if op not in _GRAPH_OPERATORS:
+        return build_named(op, args)
+    values = [evaluate(a, approx) if isinstance(a, Node) else a for a in args]
+    if not all(isinstance(v, (LabeledGraph, int)) for v in values):
+        if op == "tensor":
+            return reduce(model_tensor, map(_as_model, values))
+        raise ExprError(f"{op} applies to graphs only", node.span[0])
+    _check_size(math.prod(v if isinstance(v, int) else v.n for v in values), node.span)
+    return _GRAPH_OPERATORS[op](*values)
 
 
 _QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]*[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")

@@ -572,19 +572,12 @@ class EstimatedProfile:
     stderr: tuple
     samples: int
     seed: int
-    shards: int
 
     def entry(self, key) -> float:
         return self.values[iso_table(self.t).type_index(key)]
 
     def stderr_of(self, key) -> float:
         return self.stderr[iso_table(self.t).type_index(key)]
-
-
-def _shard_sizes(samples: int, shards: int) -> list[int]:
-    base = samples // shards
-    extra = samples % shards
-    return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
 _BATCH = 1 << 20
@@ -621,29 +614,37 @@ def _sample_masks(packed, t, rng, count, pairs):
             done += batch
 
 
-def monte_carlo_profile(source, t: int, samples: int, seed: int, shards: int = MC_SHARDS,
-                        budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> EstimatedProfile:
-    """Estimate the repetitive t-profile of a graph or model by seeded
-    sampling; shard seeds are derived deterministically so the result does
-    not depend on how shards are scheduled.  The budget bounds the samples."""
+def _sampled_masks(source, t: int, samples: int, seed: int, budget: int):
+    """Yield the edge-slot mask batches of `samples` seeded samples of t
+    vertices, in MC_SHARDS shards whose seeds are spawned from `seed`, so
+    the result does not depend on how shards are scheduled.  The checks run
+    at the first batch, before any sampling."""
     import numpy as np
-    _check_order(t)
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples > budget:
         raise BudgetError(f"{samples} samples exceed the budget of {budget}")
     if not isinstance(source, (LabeledGraph, StepModel)):
         raise TypeError("source must be a LabeledGraph or StepModel")
-    table = iso_table(t)
-    pairs = masks.pair_slots(t)
-    counts = np.zeros(1 << masks.slot_count(t), dtype=np.int64)
     packed = _packed_source(source)
-    for seq, count in zip(np.random.SeedSequence(seed).spawn(shards), _shard_sizes(samples, shards)):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(seq)
-        for mask in _sample_masks(packed, t, rng, count, pairs):
-            counts += np.bincount(mask, minlength=counts.size)
+    pairs = masks.pair_slots(t)
+    base, extra = divmod(samples, MC_SHARDS)
+    for shard, seq in enumerate(np.random.SeedSequence(seed).spawn(MC_SHARDS)):
+        count = base + (shard < extra)
+        if count:
+            yield from _sample_masks(packed, t, np.random.default_rng(seq), count, pairs)
+
+
+def monte_carlo_profile(source, t: int, samples: int, seed: int,
+                        budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> EstimatedProfile:
+    """Estimate the repetitive t-profile of a graph or model by seeded
+    sampling.  The budget bounds the samples."""
+    import numpy as np
+    _check_order(t)
+    table = iso_table(t)
+    counts = np.zeros(1 << masks.slot_count(t), dtype=np.int64)
+    for mask in _sampled_masks(source, t, samples, seed, budget):
+        counts += np.bincount(mask, minlength=counts.size)
     type_counts = np.zeros(len(table.entries), dtype=np.int64)
     np.add.at(type_counts, np.array(table.index, dtype=np.int64), counts)
     vals = type_counts / samples
@@ -654,30 +655,21 @@ def monte_carlo_profile(source, t: int, samples: int, seed: int, shards: int = M
         stderr=tuple(float(e) for e in err),
         samples=samples,
         seed=seed,
-        shards=shards,
     )
 
 
-def monte_carlo_monochromatic(source, t: int, samples: int, seed: int, shards: int = MC_SHARDS):
+def monte_carlo_monochromatic(source, t: int, samples: int, seed: int):
     """Estimate the probability that t sampled vertices induce a clique or
     an anticlique.  Unlike the profile estimator this works above order 5;
-    it is the only order-6 quantity the toolkit touches."""
+    it is the only order-6 quantity the toolkit touches.  Its samples are
+    checked against the default budget."""
     import numpy as np
     if t < 2 or t > 8:
         raise ValueError("monochromatic order must be in 2..8")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    pairs = masks.pair_slots(t)
-    nslots = len(pairs)
-    full = (1 << nslots) - 1
+    full = (1 << masks.slot_count(t)) - 1
     hits = 0
-    packed = _packed_source(source)
-    for seq, count in zip(np.random.SeedSequence(seed).spawn(shards), _shard_sizes(samples, shards)):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(seq)
-        for mask in _sample_masks(packed, t, rng, count, pairs):
-            hits += int(np.count_nonzero(mask == full)) + int(np.count_nonzero(mask == 0))
+    for mask in _sampled_masks(source, t, samples, seed, DEFAULT_ASSIGNMENT_BUDGET):
+        hits += int(np.count_nonzero(mask == full)) + int(np.count_nonzero(mask == 0))
     est = hits / samples
     err = math.sqrt(est * (1.0 - est) / samples)
     return est, err

@@ -240,6 +240,11 @@ def test_cache_keys_without_load_are_pinned():
     assert _key(["limit", "--t", "4", "--quantum", "K4", "--factors", "M4, K4, K3, K3"]) != _key(limit)
     assert _key(["limit", "--t", "4", "--quantum", "K4 + A4", "--factors", "M4, K4, K3"]) != _key(limit)
     assert _key(["profile", "--t", "3", "--approx", "C5"]) != _key(["profile", "--t", "3", "C5"])
+    # every operator and every leaf kind, in one canonical form
+    every = ("union(blowup(C5, 2):0.25, compose(K2, M4, kpart(1, 2)):1, "
+             "tensor(paley(5), cayley2(2; 0)):3/4, bernoulli(1/3):1, bipartite(1/2):2)")
+    assert _key(["profile", "--t", "3", every]) == (
+        "25caea527d388305ce717bd706f980e8364688fface99c7bbc5655b7c7c7889c")
 
 
 def test_cache_follows_the_content_of_loaded_files(capsys, tmp_path, monkeypatch):

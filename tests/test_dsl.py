@@ -1,18 +1,17 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inducibility import graphs
+from inducibility.graphs import FAMILIES, FIXED_EDGES
 from inducibility.dsl import (
-    Bernoulli,
-    BlowUp,
-    Compose,
     ExprError,
-    Named,
-    Tensor,
-    Union,
+    Node,
     evaluate,
     loaded_paths,
     parse_expr,
@@ -57,6 +56,50 @@ def test_print_parse_round_trip():
         assert parse_expr(print_expr(node)) == node
 
 
+_NUMBERS = st.fractions(min_value=0, max_value=4, max_denominator=12)
+_INTS = st.integers(1, 12)
+_LEAVES = st.one_of(
+    # a family spelling a fixed name (K4, C4, ...) parses to the fixed name
+    st.tuples(st.sampled_from(sorted(FAMILIES)), _INTS)
+    .filter(lambda a: f"{a[0]}{a[1]}" not in FIXED_EDGES)
+    .map(lambda a: Node(a[0], (a[1],))),
+    st.sampled_from(sorted(FIXED_EDGES)).map(Node),
+    st.lists(_INTS, min_size=1, max_size=3).map(lambda a: Node("kpart", tuple(a))),
+    _INTS.map(lambda q: Node("paley", (q,))),
+    st.lists(st.integers(0, 12), min_size=2, max_size=4).map(lambda a: Node("cayley2", tuple(a))),
+    _NUMBERS.map(lambda p: Node("bernoulli", (p,))),
+    _NUMBERS.map(lambda p: Node("bipartite", (p,))),
+    st.text("ab/._-0", min_size=1, max_size=6).map(lambda path: Node("load", (path,))),
+)
+
+
+def _trees(depth: int):
+    """Trees whose first operand chain has exactly `depth` operators."""
+    if depth == 0:
+        return _LEAVES
+    deep = _trees(depth - 1)
+    shallow = st.one_of(_LEAVES, deep)
+    part = st.tuples(shallow, _NUMBERS)
+    return st.one_of(
+        deep.map(lambda a: Node("complement", (a,))),
+        st.tuples(deep, _INTS).map(lambda a: Node("blowup", a)),
+        st.tuples(deep, shallow).map(lambda a: Node("compose", a)),
+        st.tuples(deep, st.lists(shallow, min_size=1, max_size=2))
+        .map(lambda a: Node("tensor", (a[0], *a[1]))),
+        st.tuples(st.tuples(deep, _NUMBERS), st.lists(part, max_size=2))
+        .map(lambda a: Node("union", (a[0], *a[1]))),
+    )
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 4).flatmap(_trees))
+def test_random_trees_round_trip(node):
+    text = print_expr(node)
+    assert parse_expr(text) == node
+    assert print_expr(parse_expr(text)) == text
+    assert loaded_paths(node) == re.findall(r'load\("([^"]*)"\)', text)
+
+
 def test_parse_normalizes_whitespace():
     node = parse_expr("  tensor( K3 ,K3 )  ")
     assert print_expr(node) == "tensor(K3, K3)"
@@ -70,16 +113,16 @@ def test_print_normalizes_decimals_to_rationals():
 
 def test_compose_folds_left():
     node = parse_expr("compose(K2, K3, K4)")
-    assert isinstance(node, Compose)
-    assert isinstance(node.left, Compose)
+    assert node.op == "compose"
+    assert node.args[0].op == "compose"
     assert print_expr(node) == "compose(compose(K2, K3), K4)"
 
 
 def test_union_default_weight():
     node = parse_expr("union(K2, K3:2)")
-    assert isinstance(node, Union)
-    assert node.parts[0][1] == Fraction(1)
-    assert node.parts[1][1] == Fraction(2)
+    assert node.op == "union"
+    assert node.args[0][1] == Fraction(1)
+    assert node.args[1][1] == Fraction(2)
 
 
 def test_parse_errors_carry_positions():
@@ -105,12 +148,12 @@ def test_parse_errors_carry_positions():
 def test_rational_literals_are_integer_only():
     with pytest.raises(ExprError):
         parse_expr("bernoulli(0.5/2)")
-    assert parse_expr("bernoulli(0.25)") == Bernoulli(p=Fraction(1, 4))
+    assert parse_expr("bernoulli(0.25)") == Node("bernoulli", (Fraction(1, 4),))
 
 
 def test_decimal_literals_are_exact():
     node = parse_expr("bernoulli(0.3)")
-    assert node.p == Fraction(3, 10)
+    assert node.args == (Fraction(3, 10),)
 
 
 def test_evaluate_graph_expressions():
@@ -140,11 +183,11 @@ def test_evaluate_model_expressions():
 
 
 def test_family_leaves_parse_to_named_parameters():
-    assert parse_expr("K5") == Named("K", (5,))
-    assert parse_expr("loopK2") == Named("loopK", (2,))
-    assert print_expr(Named("K", (5,))) == "K5"
+    assert parse_expr("K5") == Node("K", (5,))
+    assert parse_expr("loopK2") == Node("loopK", (2,))
+    assert print_expr(Node("K", (5,))) == "K5"
     # a fixed name wins over its family: C4 keeps its own labeling
-    assert parse_expr("C4") == Named("C4")
+    assert parse_expr("C4") == Node("C4")
     assert evaluate(parse_expr("C4")) == build_named("C4")
     assert evaluate(parse_expr("C4")) != build_named("C", [4])
     assert evaluate(parse_expr("C5")) == build_named("C", [5])
@@ -185,10 +228,20 @@ def test_loaded_paths_in_print_order():
 
 
 def test_evaluate_type_errors():
-    with pytest.raises(ExprError):
-        evaluate(parse_expr("blowup(bernoulli(1/2), 2)") if False else parse_expr("compose(bernoulli(1/2), K2)"))
-    with pytest.raises(ExprError):
-        evaluate(parse_expr("tensor(K256, K257)"))
+    # errors raised while evaluating point at the operator that raised them
+    cases = [
+        ("blowup(bernoulli(1/2), 2)", "blowup applies to graphs only", 0),
+        ("compose(bernoulli(1/2), K2)", "compose applies to graphs only", 0),
+        ("union(K2:1, blowup(bipartite(1/3), 2):1)", "blowup applies to graphs only", 12),
+        ("tensor(K2, compose(K3, union(K2:1)))", "compose applies to graphs only", 11),
+        ("union(K2, tensor(K256, K257))", "construction has 65792 vertices", 10),
+    ]
+    for text, message, pos in cases:
+        with pytest.raises(ExprError) as err:
+            evaluate(parse_expr(text))
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith(f"(at column {pos + 1})")
+        assert err.value.pos == pos
 
 
 def test_evaluate_approx_mode():

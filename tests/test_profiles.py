@@ -235,6 +235,10 @@ def test_monte_carlo_monochromatic():
     assert abs(high - 2 * 0.5 ** 15) < 5 * max(se6, 1e-6)
     with pytest.raises(ValueError):
         monte_carlo_monochromatic(bernoulli(Fraction(1, 2)), 9, 1000, seed=1)
+    with pytest.raises(TypeError, match="^source must be a LabeledGraph or StepModel$"):
+        monte_carlo_monochromatic("K3", 3, 10, 1)
+    with pytest.raises(BudgetError):
+        monte_carlo_monochromatic(bernoulli(Fraction(1, 2)), 3, 10 ** 11, seed=1)
 
 
 def test_packed_adjacency_holds_one_bit_per_pair():
