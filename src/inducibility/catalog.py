@@ -8,7 +8,9 @@ its expected value; running a table recomputes each row through the
 profile, nesting and spectral pipelines and compares.  The row modes
 model, nested and product are the functions density, nested_profile and
 limit_density, which the CLI's density, nested-profile and limit commands
-call too.
+call too.  Under density and limit_density, and under the CLI's profile,
+repetitive_of and induced_of take an expression node to its profile,
+profiling an exact tensor from its factors without building it.
 """
 
 from __future__ import annotations
@@ -19,17 +21,27 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dsl import evaluate, parse_expr, parse_factors, parse_quantum
-from .graphs import LabeledGraph, from_edges
+from .dsl import OPERATORS, evaluate, parse_expr, parse_factors, parse_quantum
+from .graphs import LabeledGraph, from_edges, named_order
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
 from .profiles import (
+    DEFAULT_ASSIGNMENT_BUDGET,
+    DEFAULT_SUBSET_BUDGET,
+    BudgetError,
+    LabeledProfile,
+    ProfileVector,
     QuantumGraph,
+    check_subset_budget,
+    induced_from_repetitive,
+    induced_profile,
     iso_table,
+    labeled_repetitive,
     quantum_density,
-    repetitive_profile,
+    repetitive_cost,
+    subset_cost,
 )
-from .spectral import model_spectrum, product_limit_density
+from .spectral import convolve, fourier, product_limit_density
 
 TABLES = ("exoo4", "headline", "appendix5")
 
@@ -139,12 +151,75 @@ def _graph(expr: str, approx: bool, message: str) -> LabeledGraph:
     return G
 
 
+def _factors(node, approx: bool) -> list:
+    """The factors of an exact tensor, nested tensors flattened, left to
+    right; any other construction, or any approximate one, alone."""
+    if approx or node.op != "tensor":
+        return [node]
+    return [f for arg in node.args for f in _factors(arg, approx)]
+
+
+def _charge(costs, budget: int) -> None:
+    """Refuse the factors of a tensor whose costs together exceed the budget."""
+    if sum(costs) > budget:
+        raise BudgetError(
+            f"{sum(costs)} subsets and assignments of {len(costs)} tensor factors "
+            f"exceed the budget of {budget}"
+        )
+
+
+def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
+    """Labeled repetitive t-profile of the limit of a construction; the
+    dispatch that the CLI and the catalog share.
+
+    An exact tensor is the xor convolution of its factors' profiles, so the
+    product is never built.  Its factors are charged together before any
+    is counted, each what labeled_repetitive charges it.  A named graph
+    leaf is charged from its parameters before it is built.  Every other
+    construction, and every approximate one, is built and profiled whole.
+    """
+    factors = _factors(node, approx)
+    # a named graph leaf stands as its vertex count until it is charged
+    staged = [named_order(f.op, f.args) if f.op not in OPERATORS else evaluate(f, approx) for f in factors]
+    iso_table(t)  # refuses an order outside 2..5 before any charge
+    if len(staged) > 1:
+        _charge([subset_cost(x, t) if isinstance(x, int) else repetitive_cost(x, t) for x in staged], budget)
+    elif isinstance(staged[0], int):
+        check_subset_budget(staged[0], t, budget)
+    profiles = [
+        labeled_repetitive(evaluate(f, approx) if isinstance(x, int) else x, t, budget)
+        for f, x in zip(factors, staged)
+    ]
+    return convolve(*profiles) if len(profiles) > 1 else profiles[0]
+
+
+def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
+    """Induced t-profile of a graph construction.  An exact tensor is not
+    built: the repetitive profile of its factors, charged as repetitive_of
+    charges them, is lifted back by induced_from_repetitive.  Every other
+    construction is built and its t-subsets are counted."""
+    graphs = [evaluate(f, approx) for f in _factors(node, approx)]
+    iso_table(t)
+    if not all(isinstance(G, LabeledGraph) for G in graphs):
+        raise ValueError("induced profiles need a graph construction")
+    if len(graphs) == 1:
+        return induced_profile(graphs[0], t, budget)
+    # a product vertex has a loop iff an odd number of its coordinates do
+    loops = [len(G.loops()) for G in graphs]
+    if any(0 < k < G.n for k, G in zip(loops, graphs)) or sum(k > 0 for k in loops) % 2:
+        raise ValueError("induced profiles are defined for loopless graphs")
+    s = math.prod(G.n for G in graphs)
+    if s < t:
+        raise ValueError("graph has fewer vertices than the profile order")
+    _charge([subset_cost(G.n, t) for G in graphs], budget)
+    return induced_from_repetitive(convolve(*(labeled_repetitive(G, t, budget) for G in graphs)), s)
+
+
 def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):
     """Repetitive density of Q in the limit of a construction.  A `budget`
     keyword bounds the work of each route; without it the route's default
     applies."""
-    source = evaluate(parse_expr(expr), approx=approx)
-    return quantum_density(Q, repetitive_profile(source, Q.t, **budget))
+    return quantum_density(Q, repetitive_of(parse_expr(expr), Q.t, approx, **budget).to_unlabeled())
 
 
 def nested_profile(expr: str, t: int, approx: bool = False, **budget):
@@ -157,7 +232,7 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
     """Repetitive density of Q in the tensor product of the limits of the
     comma-separated factors and of the nested composition of `nested`."""
     spectra = [
-        model_spectrum(evaluate(node, approx=approx), Q.t, **budget)
+        fourier(repetitive_of(node, Q.t, approx, **budget))
         for node in (parse_factors(factors) if factors else ())
     ]
     if nested:

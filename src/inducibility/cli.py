@@ -18,17 +18,20 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .catalog import TABLES, closed_form_bounds, density, limit_density, nested_profile, reproduce_table
+from .catalog import (
+    TABLES,
+    closed_form_bounds,
+    density,
+    induced_of,
+    limit_density,
+    nested_profile,
+    repetitive_of,
+    reproduce_table,
+)
 from .dsl import LOADED, evaluate, loaded_paths, parse_expr, parse_factors, parse_quantum, print_expr
 from .graphs import LabeledGraph, graph6_decode, graph6_encode
-from .profiles import (
-    induced_profile,
-    iso_table,
-    labeled_repetitive,
-    monte_carlo_profile,
-    repetitive_profile,
-)
-from .spectral import model_spectrum
+from .profiles import iso_table, monte_carlo_profile
+from .spectral import fourier
 
 _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
@@ -121,20 +124,19 @@ def _budget_kwargs(args) -> dict:
 
 
 def _run_profile(args) -> dict:
-    source = evaluate(parse_expr(args.expr), approx=args.approx)
-    names = iso_table(args.t).type_names()
+    node = parse_expr(args.expr)
     kw = _budget_kwargs(args)
     if args.flavor == "induced":
-        if not isinstance(source, LabeledGraph):
-            raise ValueError("induced profiles need a graph construction")
-        values = induced_profile(source, args.t, **kw).values
-    elif args.flavor == "repetitive":
-        values = repetitive_profile(source, args.t, **kw).values
-    elif args.flavor == "labeled":
-        lab = labeled_repetitive(source, args.t, **kw)
-        values = tuple(lab.values[e.rep_mask] for e in iso_table(args.t).entries)
+        values = induced_of(node, args.t, args.approx, **kw).values
     else:
-        values = model_spectrum(source, args.t, **kw).type_values()
+        lab = repetitive_of(node, args.t, args.approx, **kw)
+        if args.flavor == "repetitive":
+            values = lab.to_unlabeled().values
+        elif args.flavor == "labeled":
+            values = tuple(lab.values[e.rep_mask] for e in iso_table(args.t).entries)
+        else:
+            values = fourier(lab).type_values()
+    names = iso_table(args.t).type_names()
     return _profile_payload(f"profile:{args.flavor}", args.t, names, values, args)
 
 
@@ -335,7 +337,8 @@ def run_command(argv) -> int:
             if args.cache:
                 _cache_store(args.cache, key, payload)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # some exceptions carry no message, a bare MemoryError() among them
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     finally:
         LOADED.clear()

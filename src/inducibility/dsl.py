@@ -272,6 +272,8 @@ def _as_model(source) -> StepModel:
 
 
 _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
+# the operators, random models and load; every other op names a catalogue graph
+OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
 
 
 def evaluate(node, approx: bool = False):

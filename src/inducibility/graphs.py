@@ -211,29 +211,19 @@ FIXED_EDGES = {
 }
 
 
-def _cycle(n: int) -> LabeledGraph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 # Families with one size parameter, by name: complete, empty, cycle, path,
 # and complete with a loop at every vertex.
 FAMILIES = {
     "K": lambda n: _complete_multipartite([1] * n),
     "A": from_edges,
-    "C": _cycle,
+    "C": lambda n: from_edges(n, [(i, (i + 1) % n) for i in range(n)]),
     "P": lambda n: from_edges(n, [(i, i + 1) for i in range(n - 1)]),
     "loopK": lambda n: LabeledGraph(n, ((1 << n) - 1,) * n),
 }
 
 
 def _complete_multipartite(sizes) -> LabeledGraph:
-    sizes = list(sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be positive")
     n = sum(sizes)
-    check_order(n)
     full = (1 << n) - 1
     rows = []
     for s in sizes:
@@ -242,8 +232,6 @@ def _complete_multipartite(sizes) -> LabeledGraph:
 
 
 def _paley(q: int) -> LabeledGraph:
-    if q not in PALEY_ORDERS:
-        raise ValueError(f"paley order must be one of {PALEY_ORDERS}")
     if q == 9:
         # GF(9) as GF(3)[x] / (x^2 + 1); element (a, b) is a + b x.
         elems = [(a, b) for a in range(3) for b in range(3)]
@@ -276,13 +264,7 @@ def _cayley2(n: int, weights) -> LabeledGraph:
     """Cayley graph of the group of n-bit vectors under xor, connecting u, v
     iff the Hamming weight of u xor v lies in the weight set.  Weight 0 puts
     a loop at every vertex."""
-    if n < 1:
-        raise ValueError(f"cayley2 dimension must be in 1..{MAX_VERTICES.bit_length() - 1}")
-    # 2**n is never computed for a dimension past the cap's bit length
-    check_order(1 << min(n, MAX_VERTICES.bit_length()), f"2**{n}")
     wset = set(weights)
-    if not wset or not all(isinstance(w, int) and 0 <= w <= n for w in wset):
-        raise ValueError("weights must be integers in 0..n")
     size = 1 << n
     clear = _clear_masks(size)
     # row u is row u ^ j with its columns xored by j = lowbit(u): a j-block swap
@@ -294,32 +276,63 @@ def _cayley2(n: int, weights) -> LabeledGraph:
     return LabeledGraph(size, tuple(rows))
 
 
-def build_named(name: str, params=()) -> LabeledGraph:
-    """Construct a catalogue graph: K/A/C/P/loopK families with a size
-    parameter, kpart/paley/cayley2 with their own parameters, or one of the
-    fixed 4- and 5-vertex names.  The order is worked out from the
-    parameters and checked against MAX_VERTICES before any row is built."""
+def named_order(name: str, params=()) -> int:
+    """Vertex count of a catalogue graph, worked out from its parameters.
+    The parameters are checked, and the count against MAX_VERTICES, with
+    the messages of build_named, so a caller can charge a leaf before
+    building it."""
     params = list(params)
     if name in FIXED_EDGES:
         if params:
             raise ValueError(f"{name} takes no parameters")
-        return from_edges(5 if name == "bull" else 4, FIXED_EDGES[name])
+        return 5 if name == "bull" else 4
     if name in FAMILIES:
         if len(params) != 1 or not isinstance(params[0], int) or params[0] < 1:
             raise ValueError(f"{name} takes one positive integer size")
         check_order(params[0])
-        return FAMILIES[name](params[0])
+        if name == "C" and params[0] < 3:
+            raise ValueError("cycles need at least 3 vertices")
+        return params[0]
     if name == "kpart":
-        return _complete_multipartite(params)
+        if not params or any(s < 1 for s in params):
+            raise ValueError("part sizes must be positive")
+        check_order(sum(params))
+        return sum(params)
     if name == "paley":
         if len(params) != 1:
             raise ValueError("paley takes one parameter")
-        return _paley(params[0])
+        if params[0] not in PALEY_ORDERS:
+            raise ValueError(f"paley order must be one of {PALEY_ORDERS}")
+        return params[0]
     if name == "cayley2":
         if len(params) < 2:
             raise ValueError("cayley2 takes a dimension and at least one weight")
-        return _cayley2(params[0], params[1:])
+        n = params[0]
+        if n < 1:
+            raise ValueError(f"cayley2 dimension must be in 1..{MAX_VERTICES.bit_length() - 1}")
+        # 2**n is never computed for a dimension past the cap's bit length
+        check_order(1 << min(n, MAX_VERTICES.bit_length()), f"2**{n}")
+        if not all(isinstance(w, int) and 0 <= w <= n for w in params[1:]):
+            raise ValueError("weights must be integers in 0..n")
+        return 1 << n
     raise ValueError(f"unknown graph name {name!r}")
+
+
+def build_named(name: str, params=()) -> LabeledGraph:
+    """Construct a catalogue graph: K/A/C/P/loopK families with a size
+    parameter, kpart/paley/cayley2 with their own parameters, or one of the
+    fixed 4- and 5-vertex names.  named_order checks the parameters and
+    the order before any row is built."""
+    n = named_order(name, params)
+    if name in FIXED_EDGES:
+        return from_edges(n, FIXED_EDGES[name])
+    if name in FAMILIES:
+        return FAMILIES[name](n)
+    if name == "kpart":
+        return _complete_multipartite(params)
+    if name == "paley":
+        return _paley(n)
+    return _cayley2(params[0], params[1:])
 
 
 @dataclass(frozen=True)

@@ -135,13 +135,16 @@ def iso_table(t: int) -> IsoTable:
     return IsoTable(t=t, entries=tuple(entries), index=index, names=name_map)
 
 
-def _validate_distribution(values, what: str) -> None:
+def _validate_distribution(values, what: str) -> list:
+    """Check that values are a distribution; return them cleared of
+    denominators (clear_denominators), as integers when exact."""
     tol = 0 if is_exact(values) else APPROX_TOL
     d, values = clear_denominators(values)
     if abs(sum(values) - d) > tol:
         raise ValueError(f"{what} must sum to one")
     if any(v < -tol for v in values):
         raise ValueError(f"{what} must be nonnegative")
+    return values
 
 
 @dataclass(frozen=True)
@@ -190,12 +193,13 @@ class LabeledProfile:
             raise ValueError("labeled flavor must be p or r")
         if len(self.values) != 1 << masks.slot_count(self.t):
             raise ValueError("value count does not match the mask space")
-        _validate_distribution(self.values, "labeled entries")
+        # exact entries are compared as integers over one denominator
+        scaled = _validate_distribution(self.values, "labeled entries")
         tol = 0 if self.exact else APPROX_TOL
         for e in iso_table(self.t).entries:
-            ref = self.values[e.rep_mask]
+            ref = scaled[e.rep_mask]
             for mask in e.orbit:
-                v = self.values[mask]
+                v = scaled[mask]
                 if v != ref and abs(v - ref) > tol:
                     raise ValueError("labeled profile is not constant on orbits")
 
@@ -408,10 +412,16 @@ def _ordered(ell: int, unordered: dict) -> dict:
     return out
 
 
+def subset_cost(n: int, t: int) -> int:
+    """Subsets that profiling n vertices to order t is charged: the most
+    ell-subsets that one order ell <= t enumerates."""
+    return max(math.comb(n, ell) for ell in range(1, t + 1))
+
+
 def check_subset_budget(n: int, t: int, budget: int) -> None:
     """Refuse work that enumerates the ell-subsets of n vertices for some
     ell <= t when one order alone exceeds the budget."""
-    cost = max(math.comb(n, ell) for ell in range(1, t + 1))
+    cost = subset_cost(n, t)
     if cost > budget:
         raise BudgetError(f"{cost} subsets exceed the budget of {budget}")
 
@@ -481,6 +491,24 @@ def divide(numerators, denominator: int) -> tuple:
     return tuple(v / denominator for v in numerators)
 
 
+def _counted_as(source):
+    """What labeled_repetitive counts: a graph, or an exact 0/1 uniform-mass
+    model through its support graph, by subsets; any other model as it is,
+    by assignments."""
+    if isinstance(source, StepModel) and source.exact and source.is_zero_one() and source.has_uniform_masses():
+        rows = (sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w)
+        return LabeledGraph(source.k, tuple(rows))
+    return source
+
+
+def repetitive_cost(source, t: int) -> int:
+    """What labeled_repetitive charges a source: C(n, ell) subsets at the
+    largest order for a graph counted by subsets, k^t assignments for
+    any other model."""
+    G = _counted_as(source)
+    return subset_cost(G.n, t) if isinstance(G, LabeledGraph) else G.k ** t
+
+
 def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
     """Labeled repetitive t-profile of a graph's blow-up limit or of a step
     model; the one place where a route is chosen.
@@ -491,10 +519,7 @@ def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
     enumerates its k^t assignments.
     """
     _check_order(t)
-    G = source
-    if isinstance(source, StepModel) and source.exact and source.is_zero_one() and source.has_uniform_masses():
-        rows = (sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w)
-        G = LabeledGraph(source.k, tuple(rows))
+    G = _counted_as(source)
     if isinstance(G, LabeledGraph):
         check_subset_budget(G.n, t, budget)
         numerators, denominator = partition_lift(t, ordered_counts(G, t)), G.n ** t
@@ -541,6 +566,43 @@ def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
         ordered[ell] = _ordered(ell, unordered)
     values = divide(partition_lift(t, ordered), s ** t)
     return LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
+
+
+def induced_from_repetitive(lab: LabeledProfile, s: int) -> ProfileVector:
+    """Induced t-profile of a loopless s-vertex graph from its labeled
+    repetitive t-profile; the inverse of repetitive_from_induced.
+
+    Grouping ell samples by the vertex each lands on, s^ell * r_ell is
+    N_ell, the counts of ell distinct vertices in order by pattern, plus
+    the partition lift of N_1 .. N_(ell-1) over the partitions with fewer
+    parts, r_ell being the marginal of r_t on the first ell positions.  So
+    N_1 .. N_t come out in turn, as integers times the one denominator of
+    r_t, and the induced profile is N_t over s(s-1)...(s-t+1).  Loops would
+    enter the lift, so the source must be loopless; the caller checks it.
+    """
+    if lab.flavor != "r":
+        raise ValueError("expected a labeled repetitive profile")
+    t = lab.t
+    if s < t:
+        raise ValueError("graph has fewer vertices than the profile order")
+    d, scaled = clear_denominators(lab.values)
+    pairs = masks.pair_slots(t)
+    ordered: dict = {}
+    for ell in range(1, t + 1):
+        index = masks.slot_of(ell) if ell >= 2 else {}
+        kept = [(k, index[(i, j)]) for k, (i, j) in enumerate(pairs) if j < ell]
+        marginal = [0] * (1 << masks.slot_count(ell))
+        for mask, v in enumerate(scaled):
+            if v:
+                marginal[sum(1 << b for k, b in kept if (mask >> k) & 1)] += v
+        lifted = partition_lift(ell, ordered)
+        scale = s ** ell
+        ordered[ell] = {(mask, 0): v * scale - low for mask, (v, low) in enumerate(zip(marginal, lifted))}
+    table = iso_table(t)
+    counts = [0] * len(table.entries)
+    for (mask, _), c in ordered[t].items():
+        counts[table.index[mask]] += c
+    return ProfileVector(t=t, flavor="induced", values=divide(counts, d * math.perm(s, t)))
 
 
 def _packed_adjacency(G: LabeledGraph):

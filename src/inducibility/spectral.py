@@ -18,6 +18,7 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
+    clear_denominators,
     divide,
     iso_table,
     labeled_repetitive,
@@ -61,14 +62,16 @@ class SpectralProfile:
         if len(self.values) != 1 << masks.slot_count(self.t):
             raise ValueError("value count does not match the mask space")
         tol = 0 if self.exact else APPROX_TOL
-        if abs(self.values[0] - 1) > tol:
+        # exact values are compared as integers over one denominator d
+        d, scaled = clear_denominators(self.values)
+        if abs(scaled[0] - d) > tol:
             raise ValueError("spectrum of a unit-mass profile must start at one")
-        if any(abs(v) > 1 + tol for v in self.values):
+        if any(abs(v) > d + tol for v in scaled):
             raise ValueError("spectral values must lie in [-1, 1]")
         for e in iso_table(self.t).entries:
-            ref = self.values[e.rep_mask]
+            ref = scaled[e.rep_mask]
             for mask in e.orbit:
-                if abs(self.values[mask] - ref) > tol:
+                if abs(scaled[mask] - ref) > tol:
                     raise ValueError("spectrum is not constant on orbits")
 
     @property
@@ -117,9 +120,24 @@ def spectral_product(*spectra: SpectralProfile) -> SpectralProfile:
 
 
 def convolve(*profiles) -> LabeledProfile:
-    """Labeled repetitive profile of the tensor product of the sources."""
-    spectra = [fourier(p) for p in profiles]
-    return inverse_fourier(spectral_product(*spectra))
+    """Labeled repetitive profile of the tensor product of the sources.
+
+    Exact profiles are transformed as integers over their denominators:
+    the transform of the pointwise product of their transforms is the xor
+    convolution times the mask count, so one division ends it."""
+    labs = [_as_labeled_r(p) for p in profiles]
+    if not labs or not all(lab.exact for lab in labs):
+        return inverse_fourier(spectral_product(*map(fourier, labs)))
+    if any(lab.t != labs[0].t for lab in labs):
+        raise ValueError("order mismatch among spectra")
+    product, denominator = None, 1
+    for lab in labs:
+        d, scaled = clear_denominators(lab.values)
+        hat = fwht_forward(scaled)
+        product = hat if product is None else [a * b for a, b in zip(product, hat)]
+        denominator *= d
+    values = divide(fwht_forward(product), denominator * len(product))
+    return LabeledProfile(t=labs[0].t, flavor="r", values=values)
 
 
 def model_spectrum(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> SpectralProfile:

@@ -3,15 +3,17 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import inducibility.cli as cli
-from inducibility import models
+from inducibility import graphs, models
 from inducibility.catalog import reproduce_table
 from inducibility.graphs import build_named, graph6_encode
 from inducibility.cli import EXIT_BROKEN_PIPE, run_command
@@ -141,6 +143,8 @@ def test_convert_anchors(capsys):
 
 
 def test_error_paths_exit_two(capsys):
+    # refusals that are charged before anything is built or counted
+    quick = (["profile", "--t", "3", "--budget", "10", "tensor(K500, bernoulli(1/2))"],)
     for argv in (
         ["profile", "--t", "7", "C5"],
         ["profile", "--t", "4", "frob(K3)"],
@@ -159,10 +163,89 @@ def test_error_paths_exit_two(capsys):
         ["profile", "--t", "3", "union(K2:1/0)"],
         ["profile", "--t", "3", "--budget", "10", "K3000"],
         ["profile", "--t", "3", "--budget", "10", "cayley2(12; 1, 2, 3, 4, 5, 6)"],
+        *quick,
     ):
+        start = time.perf_counter()
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
         assert "error:" in err
+        if argv in quick:
+            assert time.perf_counter() - start < 1, argv
+
+
+def test_exceptions_without_a_message_are_named(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._RUNNERS, "bounds", out_of_memory)
+    assert _run(capsys, ["bounds", "--t", "4"]) == (2, "", "error: MemoryError\n")
+
+
+def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a leaf over the budget was built")
+
+    monkeypatch.setattr(graphs, "LabeledGraph", refuse)
+    expected = f"error: {math.comb(65536, 3)} subsets exceed the budget of 10\n"
+    for flavor in ("repetitive", "labeled", "spectral"):
+        start = time.perf_counter()
+        argv = ["profile", "--t", "3", "--flavor", flavor, "--budget", "10", "K65536"]
+        assert _run(capsys, argv) == (2, "", expected)
+        assert time.perf_counter() - start < 1
+    for argv in (
+        ["profile", "--t", "3", "--budget", "10", "tensor(K65536, K65536)"],
+        ["density", "--t", "3", "--quantum", "K3", "--budget", "10", "tensor(cayley2(16; 1), loopK2)"],
+        ["limit", "--t", "3", "--quantum", "K3", "--budget", "10", "--factors", "kpart(9, 65527), K2"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and "exceed the budget of 10" in err, argv
+
+
+def test_tensor_of_a_large_graph_and_a_model_answers(capsys):
+    # every slot of a sample is an independent fair coin, loops included:
+    # K500 has none, so a collision also flips the coin of bernoulli(1/2)
+    tensor = _run_json(capsys, ["profile", "--t", "3", "tensor(K500, bernoulli(1/2))"])
+    coin = _run_json(capsys, ["profile", "--t", "3", "bernoulli(1/2)"])
+    assert tensor["values"] == coin["values"]
+
+
+def _refuse_everywhere(monkeypatch, original, what) -> int:
+    """Patch every binding of `original` in the package to raise; return
+    how many there were."""
+    def refuse(*args):
+        raise AssertionError(what)
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "inducibility":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, refuse)
+                patched += 1
+    return patched
+
+
+def test_exact_tensors_are_profiled_from_their_factors(capsys, monkeypatch):
+    # each command prints the same with every builder of a product or of a
+    # dense model refusing; tests/test_tensor_route.py checks the values
+    # against the built products
+    commands = [
+        ["profile", "--t", "4", "--flavor", flavor, "tensor(C5, loopK2, tensor(bipartite(1/3), P3))"]
+        for flavor in ("repetitive", "labeled", "spectral")
+    ] + [
+        ["profile", "--t", "4", "--flavor", "induced", "tensor(C5, loopK2, complement(P4))"],
+        ["density", "--t", "4", "--quantum", "K4+A4", "tensor(M4, K4, K3, K3)"],
+        ["density", "--t", "3", "--quantum", "P3", "tensor(K3, bernoulli(1/3))"],
+        ["limit", "--t", "4", "--quantum", "K4+A4", "--factors", "tensor(M4, K4), tensor(K3, K3)"],
+    ]
+    before = [_run_json(capsys, argv) for argv in commands]
+    assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
+    assert _refuse_everywhere(monkeypatch, models.model_tensor, "a tensor of models was built")
+    assert _refuse_everywhere(monkeypatch, graphs.tensor, "a tensor of graphs was built")
+    assert [_run_json(capsys, argv) for argv in commands] == before
+    assert before[4]["values"] == before[6]["values"]
+    assert (before[4]["values"][0]["num"], before[4]["values"][0]["den"]) == ("11411", "373248")
 
 
 def test_expression_errors_read_plainly(capsys):
@@ -337,19 +420,7 @@ def test_version_flag(capsys):
 def test_graphs_stay_graphs(capsys, monkeypatch):
     # graph sources never become a Fraction matrix: every binding of
     # from_graph refuses, and graph-only commands still answer
-    def refuse(G):
-        raise AssertionError("a graph source was turned into a step model")
-
-    original = models.from_graph
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "inducibility":
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, refuse)
-                patched += 1
-    assert patched >= 2
+    assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph source was turned into a step model") >= 2
     for flavor in ("repetitive", "labeled", "spectral"):
         _run_json(capsys, ["profile", "--t", "4", "--flavor", flavor, "C5"])
     _run_json(capsys, ["density", "--t", "4", "--quantum", "K4+A4", "tensor(M4, K4, K3, K3)"])
