@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dsl import OPERATORS, evaluate, parse_expr, parse_factors, parse_quantum
-from .graphs import LabeledGraph, from_edges, named_order
+from .graphs import LabeledGraph, from_edges, named_looped, named_order
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
 from .profiles import (
@@ -32,6 +32,7 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
+    check_induced_budget,
     check_subset_budget,
     induced_from_repetitive,
     induced_profile,
@@ -168,6 +169,17 @@ def _charge(costs, budget: int) -> None:
         )
 
 
+def _staged(node, approx: bool):
+    """A factor built, or a named graph leaf as its vertex count, so that it
+    can be charged before it is built."""
+    return evaluate(node, approx) if node.op in OPERATORS else named_order(node.op, node.args)
+
+
+def _built(node, staged, approx: bool):
+    """The factor that _staged staged, built now that it is charged."""
+    return evaluate(node, approx) if isinstance(staged, int) else staged
+
+
 def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
     """Labeled repetitive t-profile of the limit of a construction; the
     dispatch that the CLI and the catalog share.
@@ -179,17 +191,13 @@ def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSI
     construction, and every approximate one, is built and profiled whole.
     """
     factors = _factors(node, approx)
-    # a named graph leaf stands as its vertex count until it is charged
-    staged = [named_order(f.op, f.args) if f.op not in OPERATORS else evaluate(f, approx) for f in factors]
+    staged = [_staged(f, approx) for f in factors]
     iso_table(t)  # refuses an order outside 2..5 before any charge
     if len(staged) > 1:
-        _charge([subset_cost(x, t) if isinstance(x, int) else repetitive_cost(x, t) for x in staged], budget)
+        _charge([subset_cost(x, t) if isinstance(x, int) else repetitive_cost(x, t)[0] for x in staged], budget)
     elif isinstance(staged[0], int):
         check_subset_budget(staged[0], t, budget)
-    profiles = [
-        labeled_repetitive(evaluate(f, approx) if isinstance(x, int) else x, t, budget)
-        for f, x in zip(factors, staged)
-    ]
+    profiles = [labeled_repetitive(_built(f, x, approx), t, budget) for f, x in zip(factors, staged)]
     return convolve(*profiles) if len(profiles) > 1 else profiles[0]
 
 
@@ -197,22 +205,30 @@ def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_
     """Induced t-profile of a graph construction.  An exact tensor is not
     built: the repetitive profile of its factors, charged as repetitive_of
     charges them, is lifted back by induced_from_repetitive.  Every other
-    construction is built and its t-subsets are counted."""
-    graphs = [evaluate(f, approx) for f in _factors(node, approx)]
+    construction is counted by its t-subsets.  A named graph leaf is
+    checked and charged from its parameters before it is built."""
+    factors = _factors(node, approx)
+    staged = [_staged(f, approx) for f in factors]
     iso_table(t)
-    if not all(isinstance(G, LabeledGraph) for G in graphs):
+    if not all(isinstance(x, (LabeledGraph, int)) for x in staged):
         raise ValueError("induced profiles need a graph construction")
-    if len(graphs) == 1:
-        return induced_profile(graphs[0], t, budget)
+    sizes = [x if isinstance(x, int) else x.n for x in staged]
+    loops = [
+        (x if named_looped(f.op, f.args) else 0) if isinstance(x, int) else len(x.loops())
+        for f, x in zip(factors, staged)
+    ]
     # a product vertex has a loop iff an odd number of its coordinates do
-    loops = [len(G.loops()) for G in graphs]
-    if any(0 < k < G.n for k, G in zip(loops, graphs)) or sum(k > 0 for k in loops) % 2:
+    if any(0 < k < n for k, n in zip(loops, sizes)) or sum(k > 0 for k in loops) % 2:
         raise ValueError("induced profiles are defined for loopless graphs")
-    s = math.prod(G.n for G in graphs)
+    s = math.prod(sizes)
     if s < t:
         raise ValueError("graph has fewer vertices than the profile order")
-    _charge([subset_cost(G.n, t) for G in graphs], budget)
-    return induced_from_repetitive(convolve(*(labeled_repetitive(G, t, budget) for G in graphs)), s)
+    if len(staged) == 1:
+        check_induced_budget(s, t, budget)
+        return induced_profile(_built(factors[0], staged[0], approx), t, budget)
+    _charge([subset_cost(n, t) for n in sizes], budget)
+    profiles = [labeled_repetitive(_built(f, x, approx), t, budget) for f, x in zip(factors, staged)]
+    return induced_from_repetitive(convolve(*profiles), s)
 
 
 def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):

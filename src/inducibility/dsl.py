@@ -285,6 +285,8 @@ def evaluate(node, approx: bool = False):
     they are built; blowup, compose and tensor check their products.
     """
     op, args = node.op, node.args
+    if op not in OPERATORS:
+        return build_named(op, args)
     if op == "load":
         path = args[0]
         data = LOADED[path] if path in LOADED else Path(path).read_bytes()
@@ -299,8 +301,6 @@ def evaluate(node, approx: bool = False):
     if op == "complement":
         inner = evaluate(args[0], approx)
         return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
-    if op not in _GRAPH_OPERATORS:
-        return build_named(op, args)
     values = [evaluate(a, approx) if isinstance(a, Node) else a for a in args]
     if not all(isinstance(v, (LabeledGraph, int)) for v in values):
         if op == "tensor":

@@ -318,6 +318,13 @@ def named_order(name: str, params=()) -> int:
     raise ValueError(f"unknown graph name {name!r}")
 
 
+def named_looped(name: str, params=()) -> bool:
+    """Whether a catalogue graph has loops, from its name and parameters:
+    loopK and cayley2 with weight 0 have one at every vertex, every other
+    catalogue graph has none."""
+    return name == "loopK" or (name == "cayley2" and 0 in list(params)[1:])
+
+
 def build_named(name: str, params=()) -> LabeledGraph:
     """Construct a catalogue graph: K/A/C/P/loopK families with a size
     parameter, kpart/paley/cayley2 with their own parameters, or one of the

@@ -342,15 +342,21 @@ def induced_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET
         raise ValueError("induced profiles are defined for loopless graphs")
     if G.n < t:
         raise ValueError("graph has fewer vertices than the profile order")
+    check_induced_budget(G.n, t, budget)
     total = math.comb(G.n, t)
-    if total > budget:
-        raise BudgetError(f"{total} subsets exceed the budget of {budget}")
     table = iso_table(t)
     counts = [0] * len(table.entries)
     for (mask, _), c in _decorated_subset_counts(G, t).items():
         counts[table.index[mask]] += c
     values = tuple(Fraction(c, total) for c in counts)
     return ProfileVector(t=t, flavor="induced", values=values)
+
+
+def check_induced_budget(n: int, t: int, budget: int) -> None:
+    """Refuse counting the C(n, t) t-subsets of n vertices beyond the budget."""
+    total = math.comb(n, t)
+    if total > budget:
+        raise BudgetError(f"{total} subsets exceed the budget of {budget}")
 
 
 def _repetitive_by_assignments(M: StepModel, t: int) -> tuple:
@@ -491,22 +497,16 @@ def divide(numerators, denominator: int) -> tuple:
     return tuple(v / denominator for v in numerators)
 
 
-def _counted_as(source):
-    """What labeled_repetitive counts: a graph, or an exact 0/1 uniform-mass
-    model through its support graph, by subsets; any other model as it is,
-    by assignments."""
-    if isinstance(source, StepModel) and source.exact and source.is_zero_one() and source.has_uniform_masses():
-        rows = (sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w)
-        return LabeledGraph(source.k, tuple(rows))
-    return source
-
-
-def repetitive_cost(source, t: int) -> int:
-    """What labeled_repetitive charges a source: C(n, ell) subsets at the
-    largest order for a graph counted by subsets, k^t assignments for
+def repetitive_cost(source, t: int) -> tuple:
+    """What labeled_repetitive charges a source, and in what: C(n, ell)
+    subsets at the largest order for a graph, or for an exact 0/1
+    uniform-mass model through its support graph; k^t assignments for
     any other model."""
-    G = _counted_as(source)
-    return subset_cost(G.n, t) if isinstance(G, LabeledGraph) else G.k ** t
+    if isinstance(source, LabeledGraph):
+        return subset_cost(source.n, t), "subsets"
+    if source.exact and source.is_zero_one() and source.has_uniform_masses():
+        return subset_cost(source.k, t), "subsets"
+    return source.k ** t, "assignments"
 
 
 def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
@@ -519,17 +519,18 @@ def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
     enumerates its k^t assignments.
     """
     _check_order(t)
-    G = _counted_as(source)
-    if isinstance(G, LabeledGraph):
-        check_subset_budget(G.n, t, budget)
-        numerators, denominator = partition_lift(t, ordered_counts(G, t)), G.n ** t
-    elif source.k ** t > budget:
-        raise BudgetError(
-            f"{source.k ** t} assignments exceed the budget of {budget}; "
-            "consider monte_carlo_profile"
-        )
-    else:
+    cost, unit = repetitive_cost(source, t)
+    if cost > budget:
+        hint = "; consider monte_carlo_profile" if unit == "assignments" else ""
+        raise BudgetError(f"{cost} {unit} exceed the budget of {budget}{hint}")
+    if unit == "assignments":
         numerators, denominator = _repetitive_by_assignments(source, t)
+    else:
+        G = source
+        if isinstance(source, StepModel):
+            rows = (sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w)
+            G = LabeledGraph(source.k, tuple(rows))
+        numerators, denominator = partition_lift(t, ordered_counts(G, t)), G.n ** t
     return LabeledProfile(t=t, flavor="r", values=divide(numerators, denominator))
 
 

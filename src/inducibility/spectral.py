@@ -124,10 +124,12 @@ def convolve(*profiles) -> LabeledProfile:
 
     Exact profiles are transformed as integers over their denominators:
     the transform of the pointwise product of their transforms is the xor
-    convolution times the mask count, so one division ends it."""
+    convolution times the mask count, so one division ends it.  Floats
+    stay as they are under denominator 1.0 (clear_denominators), so they
+    round as the inverse transform of spectral_product rounds them."""
     labs = [_as_labeled_r(p) for p in profiles]
-    if not labs or not all(lab.exact for lab in labs):
-        return inverse_fourier(spectral_product(*map(fourier, labs)))
+    if not labs:
+        raise ValueError("need at least one spectrum")
     if any(lab.t != labs[0].t for lab in labs):
         raise ValueError("order mismatch among spectra")
     product, denominator = None, 1

@@ -187,7 +187,7 @@ def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
 
     monkeypatch.setattr(graphs, "LabeledGraph", refuse)
     expected = f"error: {math.comb(65536, 3)} subsets exceed the budget of 10\n"
-    for flavor in ("repetitive", "labeled", "spectral"):
+    for flavor in ("repetitive", "labeled", "spectral", "induced"):
         start = time.perf_counter()
         argv = ["profile", "--t", "3", "--flavor", flavor, "--budget", "10", "K65536"]
         assert _run(capsys, argv) == (2, "", expected)
@@ -196,9 +196,14 @@ def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
         ["profile", "--t", "3", "--budget", "10", "tensor(K65536, K65536)"],
         ["density", "--t", "3", "--quantum", "K3", "--budget", "10", "tensor(cayley2(16; 1), loopK2)"],
         ["limit", "--t", "3", "--quantum", "K3", "--budget", "10", "--factors", "kpart(9, 65527), K2"],
+        ["profile", "--t", "3", "--flavor", "induced", "--budget", "10", "tensor(K65536, C65536)"],
     ):
         code, out, err = _run(capsys, argv)
         assert code == 2 and "exceed the budget of 10" in err, argv
+    # loops come from the parameters too, and are refused before the budget
+    for leaf in ("loopK65536", "cayley2(16; 0, 1)", "tensor(loopK65536, K65536)"):
+        argv = ["profile", "--t", "3", "--flavor", "induced", "--budget", "10", leaf]
+        assert _run(capsys, argv) == (2, "", "error: induced profiles are defined for loopless graphs\n")
 
 
 def test_tensor_of_a_large_graph_and_a_model_answers(capsys):
@@ -421,7 +426,7 @@ def test_graphs_stay_graphs(capsys, monkeypatch):
     # graph sources never become a Fraction matrix: every binding of
     # from_graph refuses, and graph-only commands still answer
     assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph source was turned into a step model") >= 2
-    for flavor in ("repetitive", "labeled", "spectral"):
+    for flavor in ("repetitive", "labeled", "spectral", "induced"):
         _run_json(capsys, ["profile", "--t", "4", "--flavor", flavor, "C5"])
     _run_json(capsys, ["density", "--t", "4", "--quantum", "K4+A4", "tensor(M4, K4, K3, K3)"])
     _run_json(capsys, ["limit", "--t", "4", "--quantum", "K4+A4", "--factors", "M4, K4, K3, K3"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from inducibility import dsl
 from inducibility.catalog import density, induced_of, repetitive_of
 from inducibility.dsl import Node, evaluate, print_expr
-from inducibility.graphs import LabeledGraph, from_edges, graph6_encode
+from inducibility.graphs import LabeledGraph, build_named, from_edges, graph6_encode, named_looped
 from inducibility.masks import pair_slots
 from inducibility.profiles import (
     QuantumGraph,
@@ -149,3 +149,25 @@ def test_induced_from_repetitive_checks_its_input():
     big = Node("tensor", (Node("K", (300,)), Node("C", (300,))))
     assert math.prod(arg.args[0] for arg in big.args) > 65536
     assert sum(induced_of(big, 3).values) == 1
+
+
+_NAMED = [
+    Node(op, params)
+    for op, params in [
+        ("K", (3,)), ("A", (4,)), ("C", (5,)), ("P", (2,)), ("loopK", (3,)), ("kpart", (1, 2, 2)),
+        ("paley", (5,)), ("cayley2", (2, 1)), ("cayley2", (2, 0, 2)), ("cayley2", (3, 0)), ("bull", ()), ("M4", ()),
+    ]
+]
+
+
+def test_named_leaves_are_profiled_as_built():
+    # a named leaf is checked and charged from its parameters, then built
+    for node in _NAMED:
+        G = build_named(node.op, node.args)
+        assert named_looped(node.op, node.args) == (not G.is_loopless), node
+        for t in (2, 3, 4):
+            assert repetitive_of(node, t) == labeled_repetitive(G, t)
+            if G.is_loopless and G.n >= t:
+                assert induced_of(node, t) == induced_profile(G, t)
+            else:
+                assert _error(lambda: induced_of(node, t)) == _error(lambda: induced_profile(G, t))
