@@ -21,19 +21,17 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dsl import OPERATORS, evaluate, parse_expr, parse_factors, parse_quantum
-from .graphs import LabeledGraph, from_edges, named_looped, named_order
+from .dsl import evaluate, parse_expr, parse_factors, parse_quantum, shape
+from .graphs import from_edges
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
 from .profiles import (
     DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_SUBSET_BUDGET,
-    BudgetError,
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
-    check_induced_budget,
-    check_subset_budget,
+    charge,
     induced_from_repetitive,
     induced_profile,
     iso_table,
@@ -145,13 +143,6 @@ class BoundReport:
         return self.row.row_id
 
 
-def _graph(expr: str, approx: bool, message: str) -> LabeledGraph:
-    G = evaluate(parse_expr(expr), approx=approx)
-    if not isinstance(G, LabeledGraph):
-        raise ValueError(message)
-    return G
-
-
 def _factors(node, approx: bool) -> list:
     """The factors of an exact tensor, nested tensors flattened, left to
     right; any other construction, or any approximate one, alone."""
@@ -161,23 +152,9 @@ def _factors(node, approx: bool) -> list:
 
 
 def _charge(costs, budget: int) -> None:
-    """Refuse the factors of a tensor whose costs together exceed the budget."""
-    if sum(costs) > budget:
-        raise BudgetError(
-            f"{sum(costs)} subsets and assignments of {len(costs)} tensor factors "
-            f"exceed the budget of {budget}"
-        )
-
-
-def _staged(node, approx: bool):
-    """A factor built, or a named graph leaf as its vertex count, so that it
-    can be charged before it is built."""
-    return evaluate(node, approx) if node.op in OPERATORS else named_order(node.op, node.args)
-
-
-def _built(node, staged, approx: bool):
-    """The factor that _staged staged, built now that it is charged."""
-    return evaluate(node, approx) if isinstance(staged, int) else staged
+    """Charge one construction its (cost, unit), a tensor's factors their sum."""
+    unit = costs[0][1] if len(costs) == 1 else f"subsets and assignments of {len(costs)} tensor factors"
+    charge(sum(c for c, _ in costs), unit, budget)
 
 
 def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
@@ -185,50 +162,52 @@ def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSI
     dispatch that the CLI and the catalog share.
 
     An exact tensor is the xor convolution of its factors' profiles, so the
-    product is never built.  Its factors are charged together before any
-    is counted, each what labeled_repetitive charges it.  A named graph
-    leaf is charged from its parameters before it is built.  Every other
-    construction, and every approximate one, is built and profiled whole.
+    product is never built.  Each factor is charged from its shape what
+    labeled_repetitive charges it, a tensor's factors together, before any
+    is built.  Every other construction, and every approximate one, is
+    built and profiled whole.
     """
     factors = _factors(node, approx)
-    staged = [_staged(f, approx) for f in factors]
+    shapes = [shape(f, approx) for f in factors]
     iso_table(t)  # refuses an order outside 2..5 before any charge
-    if len(staged) > 1:
-        _charge([subset_cost(x, t) if isinstance(x, int) else repetitive_cost(x, t)[0] for x in staged], budget)
-    elif isinstance(staged[0], int):
-        check_subset_budget(staged[0], t, budget)
-    profiles = [labeled_repetitive(_built(f, x, approx), t, budget) for f, x in zip(factors, staged)]
+    _charge([repetitive_cost(n, lifted, t) for n, _, lifted in shapes], budget)
+    profiles = [labeled_repetitive(evaluate(f, approx), t, budget) for f in factors]
     return convolve(*profiles) if len(profiles) > 1 else profiles[0]
 
 
 def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
-    """Induced t-profile of a graph construction.  An exact tensor is not
-    built: the repetitive profile of its factors, charged as repetitive_of
-    charges them, is lifted back by induced_from_repetitive.  Every other
-    construction is counted by its t-subsets.  A named graph leaf is
-    checked and charged from its parameters before it is built."""
+    """Induced t-profile of a graph construction, checked and charged from
+    its shape before it is built.  An exact tensor is not built: the
+    repetitive profile of its factors, charged as repetitive_of charges
+    them, is lifted back by induced_from_repetitive.  Every other
+    construction is counted by its t-subsets."""
     factors = _factors(node, approx)
-    staged = [_staged(f, approx) for f in factors]
+    shapes = [shape(f, approx) for f in factors]
     iso_table(t)
-    if not all(isinstance(x, (LabeledGraph, int)) for x in staged):
+    if any(looped is None for _, looped, _ in shapes):
         raise ValueError("induced profiles need a graph construction")
-    sizes = [x if isinstance(x, int) else x.n for x in staged]
-    loops = [
-        (x if named_looped(f.op, f.args) else 0) if isinstance(x, int) else len(x.loops())
-        for f, x in zip(factors, staged)
-    ]
     # a product vertex has a loop iff an odd number of its coordinates do
-    if any(0 < k < n for k, n in zip(loops, sizes)) or sum(k > 0 for k in loops) % 2:
+    if sum(looped for _, looped, _ in shapes) % 2:
         raise ValueError("induced profiles are defined for loopless graphs")
-    s = math.prod(sizes)
+    s = math.prod(n for n, _, _ in shapes)
     if s < t:
         raise ValueError("graph has fewer vertices than the profile order")
-    if len(staged) == 1:
-        check_induced_budget(s, t, budget)
-        return induced_profile(_built(factors[0], staged[0], approx), t, budget)
-    _charge([subset_cost(n, t) for n in sizes], budget)
-    profiles = [labeled_repetitive(_built(f, x, approx), t, budget) for f, x in zip(factors, staged)]
+    if len(factors) == 1:
+        charge(math.comb(s, t), "subsets", budget)
+        return induced_profile(evaluate(node, approx), t, budget)
+    _charge([repetitive_cost(n, True, t) for n, _, _ in shapes], budget)
+    profiles = [labeled_repetitive(evaluate(f, approx), t, budget) for f in factors]
     return induced_from_repetitive(convolve(*profiles), s)
+
+
+def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int = DEFAULT_SUBSET_BUDGET):
+    """A nested base, charged from its shape what stationary_profile charges."""
+    node = parse_expr(expr)
+    n, looped, _ = shape(node, approx)
+    if looped is None:
+        raise ValueError(message)
+    charge(subset_cost(n, t), "subsets", budget)
+    return evaluate(node, approx)
 
 
 def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):
@@ -240,7 +219,7 @@ def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):
 
 def nested_profile(expr: str, t: int, approx: bool = False, **budget):
     """Stationary t-profile of the nested composition of a graph construction."""
-    base = _graph(expr, approx, "nested profiles need a loopless graph construction")
+    base = _nested_base(expr, t, approx, "nested profiles need a loopless graph construction", **budget)
     return stationary_profile(base, t, **budget).profile
 
 
@@ -252,7 +231,7 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
         for node in (parse_factors(factors) if factors else ())
     ]
     if nested:
-        base = _graph(nested, approx, "the nested factor must be a loopless graph")
+        base = _nested_base(nested, Q.t, approx, "the nested factor must be a loopless graph", **budget)
         spectra.append(nested_spectral(base, Q.t, **budget))
     return product_limit_density(Q, *spectra)
 

@@ -28,6 +28,8 @@ from .graphs import (
     complement,
     compose,
     graph6_decode,
+    named_looped,
+    named_order,
     tensor,
 )
 from .models import (
@@ -259,13 +261,6 @@ def print_expr(node) -> str:
     return f"{op}({', '.join(parts)})"
 
 
-def _check_size(n: int, span) -> None:
-    try:
-        check_order(n)
-    except ValueError as exc:
-        raise ExprError(str(exc), span[0]) from None
-
-
 def _as_model(source) -> StepModel:
     """A step model as it is, a graph as the step model of its blow-up limit."""
     return source if isinstance(source, StepModel) else from_graph(source)
@@ -276,13 +271,54 @@ _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
 OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
 
 
+def shape(node, approx: bool = False) -> tuple:
+    """(size, looped, lifted) of what evaluate builds, read from the tree:
+    its vertex or type count; whether a graph's vertices are looped (all or
+    none), None for a model; whether labeled_repetitive takes the partition
+    lift.  Only a load leaf is read, for its order.  Every fault building
+    would meet is raised first, in evaluate's order and with its message."""
+    op, args = node.op, node.args
+    if op not in OPERATORS:
+        return named_order(op, args), named_looped(op, args), True
+    if op == "load":
+        G = evaluate(node)
+        return G.n, not G.is_loopless, True
+    if op in ("bernoulli", "bipartite"):
+        if not 0 <= (float(args[0]) if approx else args[0]) <= 1:
+            raise ValueError("probabilities must lie in [0, 1]")
+        return 1 if op == "bernoulli" else 2, None, not approx and args[0] in (0, 1)
+    if op == "union":  # a lifted part of n types has masses weight/n before normalizing
+        parts = [(shape(e, approx), Fraction(w)) for e, w in args]
+        if any((float(w) if approx else w) <= 0 for _, w in parts):
+            raise ValueError("union weights must be positive")
+        lifted = all(lift for (_, _, lift), _ in parts) and len({w / n for (n, _, _), w in parts}) == 1
+        return sum(n for (n, _, _), _ in parts), None, not approx and lifted
+    if op == "complement":
+        n, looped, lifted = shape(args[0], approx)
+        return n, None if looped is None else not looped, lifted
+    shapes = [shape(a, approx) if isinstance(a, Node) else (a, False, True) for a in args]
+    size = math.prod(n for n, _, _ in shapes)
+    if any(looped is None for _, looped, _ in shapes):
+        if op != "tensor":
+            raise ExprError(f"{op} applies to graphs only", node.span[0])
+        return size, None, all(lift for _, _, lift in shapes)
+    try:
+        check_order(size)
+    except ValueError as exc:
+        raise ExprError(str(exc), node.span[0]) from None
+    if op == "compose" and any(looped for _, looped, _ in shapes):
+        raise ValueError("composition is defined for loopless graphs")
+    # blowup and compose are loopless; a tensor vertex is looped iff an odd number of coordinates are
+    return size, op == "tensor" and sum(looped for _, looped, _ in shapes) % 2 == 1, True
+
+
 def evaluate(node, approx: bool = False):
     """Build the graph or step model a construction denotes.
 
     Graphs stay graphs as long as every operator is graph-valued; union and
     any random leaf produce a step model, lifting graph operands through
     their blow-up limits.  Named leaves refuse sizes above the cap before
-    they are built; blowup, compose and tensor check their products.
+    they are built; blowup, compose and tensor check their shape first.
     """
     op, args = node.op, node.args
     if op not in OPERATORS:
@@ -301,12 +337,10 @@ def evaluate(node, approx: bool = False):
     if op == "complement":
         inner = evaluate(args[0], approx)
         return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
+    shape(node, approx)
     values = [evaluate(a, approx) if isinstance(a, Node) else a for a in args]
-    if not all(isinstance(v, (LabeledGraph, int)) for v in values):
-        if op == "tensor":
-            return reduce(model_tensor, map(_as_model, values))
-        raise ExprError(f"{op} applies to graphs only", node.span[0])
-    _check_size(math.prod(v if isinstance(v, int) else v.n for v in values), node.span)
+    if any(isinstance(v, StepModel) for v in values):  # a tensor, by its shape
+        return reduce(model_tensor, map(_as_model, values))
     return _GRAPH_OPERATORS[op](*values)
 
 

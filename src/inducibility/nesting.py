@@ -21,12 +21,13 @@ from .profiles import (
     DEFAULT_SUBSET_BUDGET,
     LabeledProfile,
     ProfileVector,
-    check_subset_budget,
+    charge,
     divide,
     iso_table,
     labeled_repetitive,
     ordered_counts,
     partition_lift,
+    subset_cost,
 )
 from .spectral import SpectralProfile, fourier
 
@@ -131,7 +132,7 @@ def stationary_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUD
     matrix enumerates.  Raises DegenerateStationaryError when the
     fixed-point space does not pin down a single distribution.
     """
-    check_subset_budget(G.n, t, budget)
+    charge(subset_cost(G.n, t), "subsets", budget)
     F = transition_matrix(G, t)
     shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(F.rows)]
     basis = solve_rational_kernel(shifted)

@@ -44,6 +44,13 @@ class BudgetError(RuntimeError):
     """Exact enumeration would exceed the configured budget."""
 
 
+def charge(cost: int, unit: str, budget: int) -> None:
+    """Refuse `cost` units of work above the budget: the one budget check."""
+    if cost > budget:
+        hint = "; consider monte_carlo_profile" if unit == "assignments" else ""
+        raise BudgetError(f"{cost} {unit} exceed the budget of {budget}{hint}")
+
+
 def _check_order(t: int) -> None:
     if not MIN_ORDER <= t <= MAX_ORDER:
         raise ValueError(f"profile order must be in {MIN_ORDER}..{MAX_ORDER}")
@@ -342,21 +349,14 @@ def induced_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET
         raise ValueError("induced profiles are defined for loopless graphs")
     if G.n < t:
         raise ValueError("graph has fewer vertices than the profile order")
-    check_induced_budget(G.n, t, budget)
     total = math.comb(G.n, t)
+    charge(total, "subsets", budget)
     table = iso_table(t)
     counts = [0] * len(table.entries)
     for (mask, _), c in _decorated_subset_counts(G, t).items():
         counts[table.index[mask]] += c
     values = tuple(Fraction(c, total) for c in counts)
     return ProfileVector(t=t, flavor="induced", values=values)
-
-
-def check_induced_budget(n: int, t: int, budget: int) -> None:
-    """Refuse counting the C(n, t) t-subsets of n vertices beyond the budget."""
-    total = math.comb(n, t)
-    if total > budget:
-        raise BudgetError(f"{total} subsets exceed the budget of {budget}")
 
 
 def _repetitive_by_assignments(M: StepModel, t: int) -> tuple:
@@ -424,14 +424,6 @@ def subset_cost(n: int, t: int) -> int:
     return max(math.comb(n, ell) for ell in range(1, t + 1))
 
 
-def check_subset_budget(n: int, t: int, budget: int) -> None:
-    """Refuse work that enumerates the ell-subsets of n vertices for some
-    ell <= t when one order alone exceeds the budget."""
-    cost = subset_cost(n, t)
-    if cost > budget:
-        raise BudgetError(f"{cost} subsets exceed the budget of {budget}")
-
-
 def ordered_counts(G: LabeledGraph, t: int) -> dict:
     """Ordered decorated pattern counts of G at every order 1..t, the input
     of partition_lift; orders above G.n have no patterns."""
@@ -497,16 +489,11 @@ def divide(numerators, denominator: int) -> tuple:
     return tuple(v / denominator for v in numerators)
 
 
-def repetitive_cost(source, t: int) -> tuple:
-    """What labeled_repetitive charges a source, and in what: C(n, ell)
-    subsets at the largest order for a graph, or for an exact 0/1
-    uniform-mass model through its support graph; k^t assignments for
-    any other model."""
-    if isinstance(source, LabeledGraph):
-        return subset_cost(source.n, t), "subsets"
-    if source.exact and source.is_zero_one() and source.has_uniform_masses():
-        return subset_cost(source.k, t), "subsets"
-    return source.k ** t, "assignments"
+def repetitive_cost(size: int, lifted: bool, t: int) -> tuple:
+    """What labeled_repetitive charges a source of `size` vertices or
+    types, and in what: C(size, ell) subsets at the largest order when it
+    takes the partition lift, size^t assignments otherwise."""
+    return (subset_cost(size, t), "subsets") if lifted else (size ** t, "assignments")
 
 
 def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
@@ -519,11 +506,10 @@ def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
     enumerates its k^t assignments.
     """
     _check_order(t)
-    cost, unit = repetitive_cost(source, t)
-    if cost > budget:
-        hint = "; consider monte_carlo_profile" if unit == "assignments" else ""
-        raise BudgetError(f"{cost} {unit} exceed the budget of {budget}{hint}")
-    if unit == "assignments":
+    graph = isinstance(source, LabeledGraph)
+    lifted = graph or (source.exact and source.is_zero_one() and source.has_uniform_masses())
+    charge(*repetitive_cost(source.n if graph else source.k, lifted, t), budget)
+    if not lifted:
         numerators, denominator = _repetitive_by_assignments(source, t)
     else:
         G = source
@@ -685,8 +671,7 @@ def _sampled_masks(source, t: int, samples: int, seed: int, budget: int):
     import numpy as np
     if samples < 1:
         raise ValueError("need at least one sample")
-    if samples > budget:
-        raise BudgetError(f"{samples} samples exceed the budget of {budget}")
+    charge(samples, "samples", budget)
     if not isinstance(source, (LabeledGraph, StepModel)):
         raise TypeError("source must be a LabeledGraph or StepModel")
     packed = _packed_source(source)

@@ -16,6 +16,7 @@ import inducibility.cli as cli
 from inducibility import graphs, models
 from inducibility.catalog import reproduce_table
 from inducibility.graphs import build_named, graph6_encode
+from inducibility.profiles import iso_table
 from inducibility.cli import EXIT_BROKEN_PIPE, run_command
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -181,11 +182,12 @@ def test_exceptions_without_a_message_are_named(capsys, monkeypatch):
     assert _run(capsys, ["bounds", "--t", "4"]) == (2, "", "error: MemoryError\n")
 
 
-def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a leaf over the budget was built")
+def _refuse(*args):
+    raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(graphs, "LabeledGraph", refuse)
+
+def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
     expected = f"error: {math.comb(65536, 3)} subsets exceed the budget of 10\n"
     for flavor in ("repetitive", "labeled", "spectral", "induced"):
         start = time.perf_counter()
@@ -204,6 +206,39 @@ def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
     for leaf in ("loopK65536", "cayley2(16; 0, 1)", "tensor(loopK65536, K65536)"):
         argv = ["profile", "--t", "3", "--flavor", "induced", "--budget", "10", leaf]
         assert _run(capsys, argv) == (2, "", "error: induced profiles are defined for loopless graphs\n")
+
+
+def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
+    # every construction is sized from its tree (dsl.shape) and refused
+    # before any graph or dense model is built, with the message that the
+    # built route gave
+    for t in (3, 4):
+        iso_table(t)
+    monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
+    assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
+    assert _refuse_everywhere(monkeypatch, models.model_union, "a union was built")
+    capped = "construction has 131072 vertices, above the limit of 65536; use a step-model or spectral route instead"
+    profile = ["profile", "--t", "3", "--budget", "10"]
+    for argv, message in (
+        (profile + ["compose(K65536, K2)"], f"{capped} (at column 1)"),
+        (profile + ["blowup(K65536, 2)"], f"{capped} (at column 1)"),
+        (profile + ["complement(K65536)"], f"{math.comb(65536, 3)} subsets exceed the budget of 10"),
+        (profile + ["union(K1000:1)"], f"{math.comb(1000, 3)} subsets exceed the budget of 10"),
+        (profile + ["union(cayley2(10; 1):1, bernoulli(1/2):1)"],
+         "1076890625 assignments exceed the budget of 10; consider monte_carlo_profile"),
+        (profile + ["union(K65536:1)"], f"{math.comb(65536, 3)} subsets exceed the budget of 10"),
+        (["nested-profile", "--t", "3", "--budget", "10", "compose(K200, K200)"],
+         f"{math.comb(40000, 3)} subsets exceed the budget of 10"),
+        (["limit", "--t", "4", "--quantum", "P4", "--nested", "complement(K20000)"],
+         f"{math.comb(20000, 4)} subsets exceed the budget of 1000000000"),
+        (["profile", "--t", "3", "--budget", "1000", "union(cayley2(11; 7):9/10)"],
+         f"{math.comb(2048, 3)} subsets exceed the budget of 1000"),
+        (["limit", "--t", "4", "--quantum", "K4", "--factors", "blowup(complement(cayley2(11; 4)), 23)"],
+         f"{math.comb(47104, 4)} subsets exceed the budget of 10000000000"),
+    ):
+        start = time.perf_counter()
+        assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
+        assert time.perf_counter() - start < 1, argv
 
 
 def test_tensor_of_a_large_graph_and_a_model_answers(capsys):

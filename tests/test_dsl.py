@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inducibility import graphs
+from inducibility import dsl, graphs, models
 from inducibility.graphs import FAMILIES, FIXED_EDGES
 from inducibility.dsl import (
     ExprError,
@@ -18,6 +19,7 @@ from inducibility.dsl import (
     parse_factors,
     parse_quantum,
     print_expr,
+    shape,
 )
 from inducibility.graphs import (
     LabeledGraph,
@@ -98,6 +100,52 @@ def test_random_trees_round_trip(node):
     assert parse_expr(text) == node
     assert print_expr(parse_expr(text)) == text
     assert loaded_paths(node) == re.findall(r'load\("([^"]*)"\)', text)
+
+
+class _TooLarge(Exception):
+    """A dense model larger than the shape test builds."""
+
+
+def _bounded(build, size):
+    def guarded(*args):
+        if size(*args) > 256:
+            raise _TooLarge
+        return build(*args)
+
+    return guarded
+
+
+@settings(max_examples=200)
+@given(st.booleans(), st.integers(0, 4).flatmap(_trees))
+@example(False, parse_expr("union(K2:1, K3:1)"))  # masses 1/4 and 1/6: not lifted
+@example(False, parse_expr("union(K2:1, K3:3/2, bernoulli(1):1/2)"))  # all masses 1/6
+@example(True, parse_expr("union(K2:1, K2:1)"))
+@example(False, parse_expr("complement(tensor(loopK2, union(K3:1, K3:1)))"))
+@example(False, parse_expr("complement(tensor(loopK2, cayley2(2; 0, 1), K3))"))
+def test_shape_agrees_with_what_evaluate_builds(approx, node):
+    # the built object is the oracle; products are capped at 4096 vertices
+    # and dense models at 256 types, so that every example builds quickly
+    with mock.patch.object(graphs, "MAX_VERTICES", 4096), \
+            mock.patch.object(dsl, "from_graph", _bounded(models.from_graph, lambda G: G.n)), \
+            mock.patch.object(dsl, "model_union", _bounded(models.model_union, lambda p: sum(M.k for M, _ in p))), \
+            mock.patch.object(dsl, "model_tensor", _bounded(models.model_tensor, lambda A, B: A.k * B.k)):
+        try:
+            built = evaluate(node, approx)
+        except _TooLarge:
+            return
+        except (ValueError, OSError) as exc:
+            # the walk meets the faults in the order that building does
+            with pytest.raises(type(exc)) as walked:
+                shape(node, approx)
+            assert str(walked.value) == str(exc)
+            return
+        walked = shape(node, approx)
+    if isinstance(built, LabeledGraph):
+        assert len(built.loops()) in (0, built.n)  # loops are all or none
+        assert walked == (built.n, not built.is_loopless, True)
+    else:
+        lifted = built.exact and built.is_zero_one() and built.has_uniform_masses()
+        assert walked == (built.k, None, lifted)
 
 
 def test_parse_normalizes_whitespace():
