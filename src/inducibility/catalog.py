@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dsl import evaluate, parse_expr, parse_factors, parse_quantum, shape
+from .dsl import parse_expr, parse_factors, parse_quantum, plan
 from .graphs import from_edges
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
@@ -151,10 +151,14 @@ def _factors(node, approx: bool) -> list:
     return [f for arg in node.args for f in _factors(arg, approx)]
 
 
-def _charge(costs, budget: int) -> None:
-    """Charge one construction its (cost, unit), a tensor's factors their sum."""
+def _convolved(plans, t: int, budget: int) -> LabeledProfile:
+    """Labeled repetitive t-profile of the product of planned factors, charged
+    the sum of what labeled_repetitive charges each before any is built."""
+    costs = [repetitive_cost(n, lifted, t) for n, _, lifted, _ in plans]
     unit = costs[0][1] if len(costs) == 1 else f"subsets and assignments of {len(costs)} tensor factors"
     charge(sum(c for c, _ in costs), unit, budget)
+    profiles = [labeled_repetitive(build(), t, budget) for *_, build in plans]
+    return convolve(*profiles) if len(profiles) > 1 else profiles[0]
 
 
 def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
@@ -162,52 +166,44 @@ def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSI
     dispatch that the CLI and the catalog share.
 
     An exact tensor is the xor convolution of its factors' profiles, so the
-    product is never built.  Each factor is charged from its shape what
+    product is never built.  Each factor is planned and charged what
     labeled_repetitive charges it, a tensor's factors together, before any
     is built.  Every other construction, and every approximate one, is
-    built and profiled whole.
-    """
-    factors = _factors(node, approx)
-    shapes = [shape(f, approx) for f in factors]
+    built and profiled whole."""
+    plans = [plan(f, approx) for f in _factors(node, approx)]
     iso_table(t)  # refuses an order outside 2..5 before any charge
-    _charge([repetitive_cost(n, lifted, t) for n, _, lifted in shapes], budget)
-    profiles = [labeled_repetitive(evaluate(f, approx), t, budget) for f in factors]
-    return convolve(*profiles) if len(profiles) > 1 else profiles[0]
+    return _convolved(plans, t, budget)
 
 
 def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
     """Induced t-profile of a graph construction, checked and charged from
-    its shape before it is built.  An exact tensor is not built: the
+    its plan before it is built.  An exact tensor is not built: the
     repetitive profile of its factors, charged as repetitive_of charges
     them, is lifted back by induced_from_repetitive.  Every other
     construction is counted by its t-subsets."""
-    factors = _factors(node, approx)
-    shapes = [shape(f, approx) for f in factors]
+    plans = [plan(f, approx) for f in _factors(node, approx)]
     iso_table(t)
-    if any(looped is None for _, looped, _ in shapes):
+    if any(looped is None for _, looped, _, _ in plans):
         raise ValueError("induced profiles need a graph construction")
     # a product vertex has a loop iff an odd number of its coordinates do
-    if sum(looped for _, looped, _ in shapes) % 2:
+    if sum(looped for _, looped, _, _ in plans) % 2:
         raise ValueError("induced profiles are defined for loopless graphs")
-    s = math.prod(n for n, _, _ in shapes)
+    s = math.prod(n for n, *_ in plans)
     if s < t:
         raise ValueError("graph has fewer vertices than the profile order")
-    if len(factors) == 1:
+    if len(plans) == 1:
         charge(math.comb(s, t), "subsets", budget)
-        return induced_profile(evaluate(node, approx), t, budget)
-    _charge([repetitive_cost(n, True, t) for n, _, _ in shapes], budget)
-    profiles = [labeled_repetitive(evaluate(f, approx), t, budget) for f in factors]
-    return induced_from_repetitive(convolve(*profiles), s)
+        return induced_profile(plans[0][3](), t, budget)
+    return induced_from_repetitive(_convolved(plans, t, budget), s)
 
 
 def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int = DEFAULT_SUBSET_BUDGET):
-    """A nested base, charged from its shape what stationary_profile charges."""
-    node = parse_expr(expr)
-    n, looped, _ = shape(node, approx)
+    """A nested base, charged from its plan what stationary_profile charges."""
+    n, looped, _, build = plan(parse_expr(expr), approx)
     if looped is None:
         raise ValueError(message)
     charge(subset_cost(n, t), "subsets", budget)
-    return evaluate(node, approx)
+    return build()
 
 
 def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):

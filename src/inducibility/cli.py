@@ -28,9 +28,10 @@ from .catalog import (
     repetitive_of,
     reproduce_table,
 )
-from .dsl import LOADED, evaluate, loaded_paths, parse_expr, parse_factors, parse_quantum, print_expr
-from .graphs import LabeledGraph, graph6_decode, graph6_encode
-from .profiles import iso_table, monte_carlo_profile
+from .dsl import LOADED, loaded_paths, parse_expr, parse_factors, parse_quantum, plan, print_expr
+from .graphs import check_graph6, graph6_decode, graph6_encode
+from .nesting import DegenerateStationaryError
+from .profiles import BudgetError, charge_samples, iso_table, monte_carlo_profile
 from .spectral import fourier
 
 _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
@@ -161,9 +162,10 @@ def _run_limit(args) -> dict:
 
 
 def _run_estimate(args) -> dict:
-    source = evaluate(parse_expr(args.expr), approx=args.approx)
-    est = monte_carlo_profile(source, args.t, args.samples, args.seed, **_budget_kwargs(args))
-    names = iso_table(args.t).type_names()
+    build = plan(parse_expr(args.expr), args.approx)[3]
+    names = iso_table(args.t).type_names()  # refuses an order outside 2..5
+    charge_samples(args.samples, **_budget_kwargs(args))
+    est = monte_carlo_profile(build(), args.t, args.samples, args.seed, **_budget_kwargs(args))
     return _profile_payload(
         "estimate", args.t, names, est.values, args, seed=args.seed, stderr=est.stderr
     )
@@ -200,9 +202,11 @@ def _run_convert(args) -> dict:
         g = graph6_decode(args.graph6)
         text = args.graph6
     else:
-        g = evaluate(parse_expr(args.encode), approx=args.approx)
-        if not isinstance(g, LabeledGraph):
+        n, looped, _, build = plan(parse_expr(args.encode), args.approx)
+        if looped is None:
             raise ValueError("convert --encode needs a graph construction")
+        check_graph6(n, looped)
+        g = build()
         text = graph6_encode(g)
     return {
         "command": "convert",
@@ -336,7 +340,9 @@ def run_command(argv) -> int:
             payload = _RUNNERS[args.command](args)
             if args.cache:
                 _cache_store(args.cache, key, payload)
-    except Exception as exc:
+    # raised on purpose, or reached by bad input (a float overflow, deep nesting); others are bugs
+    except (ValueError, ArithmeticError, RecursionError, BudgetError, DegenerateStationaryError, OSError,
+            MemoryError) as exc:
         # some exceptions carry no message, a bare MemoryError() among them
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

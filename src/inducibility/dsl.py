@@ -21,7 +21,6 @@ from pathlib import Path
 from .graphs import (
     FAMILIES,
     FIXED_EDGES,
-    LabeledGraph,
     blow_up,
     build_named,
     check_order,
@@ -271,77 +270,62 @@ _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
 OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
 
 
-def shape(node, approx: bool = False) -> tuple:
-    """(size, looped, lifted) of what evaluate builds, read from the tree:
-    its vertex or type count; whether a graph's vertices are looped (all or
+def plan(node, approx: bool = False) -> tuple:
+    """(size, looped, lifted, build) of a construction, from one walk of
+    its tree: the vertex or type count; whether a graph is looped (all or
     none), None for a model; whether labeled_repetitive takes the partition
-    lift.  Only a load leaf is read, for its order.  Every fault building
-    would meet is raised first, in evaluate's order and with its message."""
+    lift; a no-argument build that checks nothing again.  Every fault of the
+    tree is raised here; only a load leaf is read and decoded, for its order."""
     op, args = node.op, node.args
     if op not in OPERATORS:
-        return named_order(op, args), named_looped(op, args), True
+        return named_order(op, args), named_looped(op, args), True, lambda: build_named(op, args)
     if op == "load":
-        G = evaluate(node)
-        return G.n, not G.is_loopless, True
+        data = LOADED[args[0]] if args[0] in LOADED else Path(args[0]).read_bytes()
+        G = graph6_decode(data.decode("ascii").strip())
+        return G.n, not G.is_loopless, True, lambda: G
     if op in ("bernoulli", "bipartite"):
-        if not 0 <= (float(args[0]) if approx else args[0]) <= 1:
+        p = float(args[0]) if approx else args[0]
+        if not 0 <= p <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
-        return 1 if op == "bernoulli" else 2, None, not approx and args[0] in (0, 1)
+        k, model = (1, bernoulli) if op == "bernoulli" else (2, bipartite_random)
+        return k, None, not approx and p in (0, 1), lambda: model(p)
     if op == "union":  # a lifted part of n types has masses weight/n before normalizing
-        parts = [(shape(e, approx), Fraction(w)) for e, w in args]
-        if any((float(w) if approx else w) <= 0 for _, w in parts):
+        parts = [plan(e, approx) for e, _ in args]
+        weights = [float(w) if approx else w for _, w in args]
+        if any(w <= 0 for w in weights):
             raise ValueError("union weights must be positive")
-        lifted = all(lift for (_, _, lift), _ in parts) and len({w / n for (n, _, _), w in parts}) == 1
-        return sum(n for (n, _, _), _ in parts), None, not approx and lifted
+        lifted = all(lift for _, _, lift, _ in parts) and len(
+            {Fraction(w) / n for (n, *_), w in zip(parts, weights)}) == 1
+        return sum(n for n, *_ in parts), None, not approx and lifted, lambda: model_union(
+            [(_as_model(build()), w) for (*_, build), w in zip(parts, weights)])
     if op == "complement":
-        n, looped, lifted = shape(args[0], approx)
-        return n, None if looped is None else not looped, lifted
-    shapes = [shape(a, approx) if isinstance(a, Node) else (a, False, True) for a in args]
-    size = math.prod(n for n, _, _ in shapes)
-    if any(looped is None for _, looped, _ in shapes):
+        n, looped, lifted, inner = plan(args[0], approx)
+        flip = model_complement if looped is None else complement
+        return n, None if looped is None else not looped, lifted, lambda: flip(inner())
+    # blowup's count is a factor of its size, and builds as itself
+    plans = [plan(a, approx) if isinstance(a, Node) else (a, False, True, lambda a=a: a) for a in args]
+    size = math.prod(n for n, *_ in plans)
+    if any(looped is None for _, looped, _, _ in plans):
         if op != "tensor":
             raise ExprError(f"{op} applies to graphs only", node.span[0])
-        return size, None, all(lift for _, _, lift in shapes)
+        return size, None, all(lift for _, _, lift, _ in plans), lambda: reduce(
+            model_tensor, [_as_model(build()) for *_, build in plans])
     try:
         check_order(size)
     except ValueError as exc:
         raise ExprError(str(exc), node.span[0]) from None
-    if op == "compose" and any(looped for _, looped, _ in shapes):
+    if op == "compose" and any(looped for _, looped, _, _ in plans):
         raise ValueError("composition is defined for loopless graphs")
     # blowup and compose are loopless; a tensor vertex is looped iff an odd number of coordinates are
-    return size, op == "tensor" and sum(looped for _, looped, _ in shapes) % 2 == 1, True
+    looped = op == "tensor" and sum(looped for _, looped, _, _ in plans) % 2 == 1
+    return size, looped, True, lambda: _GRAPH_OPERATORS[op](*(build() for *_, build in plans))
 
 
 def evaluate(node, approx: bool = False):
-    """Build the graph or step model a construction denotes.
-
-    Graphs stay graphs as long as every operator is graph-valued; union and
-    any random leaf produce a step model, lifting graph operands through
-    their blow-up limits.  Named leaves refuse sizes above the cap before
-    they are built; blowup, compose and tensor check their shape first.
-    """
-    op, args = node.op, node.args
-    if op not in OPERATORS:
-        return build_named(op, args)
-    if op == "load":
-        path = args[0]
-        data = LOADED[path] if path in LOADED else Path(path).read_bytes()
-        return graph6_decode(data.decode("ascii").strip())
-    if op in ("bernoulli", "bipartite"):
-        p = float(args[0]) if approx else args[0]
-        return bernoulli(p) if op == "bernoulli" else bipartite_random(p)
-    if op == "union":
-        return model_union(
-            [(_as_model(evaluate(e, approx)), float(w) if approx else w) for e, w in args]
-        )
-    if op == "complement":
-        inner = evaluate(args[0], approx)
-        return complement(inner) if isinstance(inner, LabeledGraph) else model_complement(inner)
-    shape(node, approx)
-    values = [evaluate(a, approx) if isinstance(a, Node) else a for a in args]
-    if any(isinstance(v, StepModel) for v in values):  # a tensor, by its shape
-        return reduce(model_tensor, map(_as_model, values))
-    return _GRAPH_OPERATORS[op](*values)
+    """Build the graph or step model a construction denotes, once plan has
+    checked the whole tree: graphs stay graphs under graph operators; a
+    union or a random leaf makes a step model, graphs entering as limits."""
+    return plan(node, approx)[3]()
 
 
 _QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]*[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")

@@ -437,12 +437,17 @@ def is_twin_free(G: LabeledGraph) -> bool:
     return True
 
 
+def check_graph6(n: int, looped: bool) -> None:
+    """Refuse what graph6 cannot encode: loops, then more than GRAPH6_LIMIT vertices."""
+    if looped:
+        raise ValueError("graph6 encodes loopless graphs only")
+    if n > GRAPH6_LIMIT:
+        raise ValueError(f"graph6 support is limited to {GRAPH6_LIMIT} vertices")
+
+
 def graph6_encode(G: LabeledGraph) -> str:
     """Standard graph6 string for a loopless graph on at most 62 vertices."""
-    if not G.is_loopless:
-        raise ValueError("graph6 encodes loopless graphs only")
-    if G.n > GRAPH6_LIMIT:
-        raise ValueError(f"graph6 support is limited to {GRAPH6_LIMIT} vertices")
+    check_graph6(G.n, not G.is_loopless)
     bits = []
     for j in range(1, G.n):
         for i in range(j):

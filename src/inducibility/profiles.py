@@ -663,15 +663,20 @@ def _sample_masks(packed, t, rng, count, pairs):
             done += batch
 
 
+def charge_samples(samples: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> None:
+    """Refuse fewer than one sample, then more samples than the budget."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    charge(samples, "samples", budget)
+
+
 def _sampled_masks(source, t: int, samples: int, seed: int, budget: int):
     """Yield the edge-slot mask batches of `samples` seeded samples of t
     vertices, in MC_SHARDS shards whose seeds are spawned from `seed`, so
     the result does not depend on how shards are scheduled.  The checks run
     at the first batch, before any sampling."""
     import numpy as np
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    charge(samples, "samples", budget)
+    charge_samples(samples, budget)
     if not isinstance(source, (LabeledGraph, StepModel)):
         raise TypeError("source must be a LabeledGraph or StepModel")
     packed = _packed_source(source)
@@ -688,7 +693,6 @@ def monte_carlo_profile(source, t: int, samples: int, seed: int,
     """Estimate the repetitive t-profile of a graph or model by seeded
     sampling.  The budget bounds the samples."""
     import numpy as np
-    _check_order(t)
     table = iso_table(t)
     counts = np.zeros(1 << masks.slot_count(t), dtype=np.int64)
     for mask in _sampled_masks(source, t, samples, seed, budget):

@@ -95,10 +95,18 @@ def _as_labeled_r(profile) -> LabeledProfile:
     return profile
 
 
+def _scaled_transform(values) -> tuple:
+    """The lcm d of the denominators and the transform of the values times d,
+    in integers; floats stay as they are under d = 1.0 (clear_denominators)."""
+    d, scaled = clear_denominators(values)
+    return d, fwht_forward(scaled)
+
+
 def fourier(profile) -> SpectralProfile:
-    """Transform of a repetitive profile (labeled or by-type)."""
+    """Transform of a repetitive profile (labeled or by-type), in integers."""
     lab = _as_labeled_r(profile)
-    return SpectralProfile(t=lab.t, values=tuple(fwht_forward(lab.values)))
+    d, hat = _scaled_transform(lab.values)
+    return SpectralProfile(t=lab.t, values=divide(hat, d))
 
 
 def inverse_fourier(spectrum: SpectralProfile) -> LabeledProfile:
@@ -134,8 +142,7 @@ def convolve(*profiles) -> LabeledProfile:
         raise ValueError("order mismatch among spectra")
     product, denominator = None, 1
     for lab in labs:
-        d, scaled = clear_denominators(lab.values)
-        hat = fwht_forward(scaled)
+        d, hat = _scaled_transform(lab.values)
         product = hat if product is None else [a * b for a, b in zip(product, hat)]
         denominator *= d
     values = divide(fwht_forward(product), denominator * len(product))
@@ -161,10 +168,8 @@ def quantum_functional(Q: QuantumGraph) -> tuple:
     for idx, coeff in Q.coefficients:
         for mask in table.entries[idx].orbit:
             indicator[mask] += Fraction(coeff)
-    hat = fwht_forward(indicator)
-    return tuple(
-        Fraction(e.orbit_size, size) * hat[e.rep_mask] for e in table.entries
-    )
+    d, hat = _scaled_transform(indicator)
+    return tuple(Fraction(e.orbit_size * hat[e.rep_mask], size * d) for e in table.entries)
 
 
 def product_limit_density(Q: QuantumGraph, *spectra: SpectralProfile):

@@ -209,7 +209,7 @@ def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
 
 
 def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
-    # every construction is sized from its tree (dsl.shape) and refused
+    # every construction is sized from its tree (dsl.plan) and refused
     # before any graph or dense model is built, with the message that the
     # built route gave
     for t in (3, 4):
@@ -239,6 +239,48 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
         assert time.perf_counter() - start < 1, argv
+
+
+def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
+    # both commands plan the tree and run their own checks before anything
+    # is built, with the messages that the built route gave
+    iso_table(3)
+    monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
+    assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
+    assert _refuse_everywhere(monkeypatch, models.model_union, "a union was built")
+    for argv, message in (
+        (["estimate", "--t", "3", "--samples", "100000000000", "--budget", "10", "--seed", "1", "K65536"],
+         "100000000000 samples exceed the budget of 10"),
+        (["estimate", "--t", "9", "--samples", "10", "--seed", "1", "K65536"], "profile order must be in 2..5"),
+        (["convert", "--encode", "K65536"], "graph6 support is limited to 62 vertices"),
+        (["convert", "--encode", "union(K65536:1)"], "convert --encode needs a graph construction"),
+        (["convert", "--encode", "loopK3"], "graph6 encodes loopless graphs only"),
+    ):
+        start = time.perf_counter()
+        assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
+        assert time.perf_counter() - start < 1, argv
+
+
+def test_bad_input_that_reaches_builtin_errors_exits_two(capsys):
+    # a float weight too large for a float, and nesting too deep to parse
+    argv = ["profile", "--approx", "--t", "3", f"union(K2:{'9' * 401}, K3:1)"]
+    assert _run(capsys, argv) == (2, "", "error: integer division result too large for a float\n")
+    code, out, err = _run(capsys, ["profile", "--t", "3", "complement(" * 3000 + "K3" + ")" * 3000])
+    assert (code, out) == (2, "") and err.startswith("error: maximum recursion depth exceeded")
+
+
+def test_programming_errors_are_not_caught():
+    # only the errors that bad input reaches exit 2; a bug is a traceback
+    code = (
+        "import inducibility.cli as cli\n"
+        "def broken(args):\n    raise AttributeError('a bug')\n"
+        "cli._RUNNERS['bounds'] = broken\n"
+        "cli.main()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, "bounds", "--t", "4"],
+                            env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and result.stdout == ""
+    assert "Traceback" in result.stderr and result.stderr.endswith("AttributeError: a bug\n")
 
 
 def test_tensor_of_a_large_graph_and_a_model_answers(capsys):

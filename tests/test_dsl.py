@@ -18,8 +18,8 @@ from inducibility.dsl import (
     parse_expr,
     parse_factors,
     parse_quantum,
+    plan,
     print_expr,
-    shape,
 )
 from inducibility.graphs import (
     LabeledGraph,
@@ -136,16 +136,32 @@ def test_shape_agrees_with_what_evaluate_builds(approx, node):
         except (ValueError, OSError) as exc:
             # the walk meets the faults in the order that building does
             with pytest.raises(type(exc)) as walked:
-                shape(node, approx)
+                plan(node, approx)
             assert str(walked.value) == str(exc)
             return
-        walked = shape(node, approx)
+        walked = plan(node, approx)[:3]
     if isinstance(built, LabeledGraph):
         assert len(built.loops()) in (0, built.n)  # loops are all or none
         assert walked == (built.n, not built.is_loopless, True)
     else:
         lifted = built.exact and built.is_zero_one() and built.has_uniform_masses()
         assert walked == (built.k, None, lifted)
+
+
+def test_each_node_is_walked_once(monkeypatch):
+    # plan reads a leaf's order once and its build once more, whatever the depth
+    calls, original = [], graphs.named_order
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(graphs, "named_order", counted)
+    monkeypatch.setattr(dsl, "named_order", counted)
+    for text, leaves in (("compose(K2, K2, K2, K2)", 4), ("tensor(blowup(complement(compose(C5, K2)), 2), K3)", 3)):
+        calls.clear()
+        evaluate(parse_expr(text))
+        assert len(calls) == 2 * leaves, text
 
 
 def test_parse_normalizes_whitespace():
