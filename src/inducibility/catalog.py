@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dsl import parse_expr, parse_factors, parse_quantum, plan
+from .frozen import frozen
 from .graphs import from_edges
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
@@ -48,7 +48,7 @@ TABLES = ("exoo4", "headline", "appendix5")
 ALPHA_TEXT = "3.7320508075688772"
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosedFormBounds:
     """General density bounds at one order, as exact rationals."""
 
@@ -93,7 +93,7 @@ def closed_form_bounds(t: int) -> ClosedFormBounds:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class CatalogRow:
     """One expected density: a target, a construction, and the value."""
 
@@ -130,7 +130,7 @@ class CatalogRow:
         return self.construction
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundReport:
     row: CatalogRow
     computed: object

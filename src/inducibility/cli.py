@@ -10,11 +10,9 @@ table; results can be cached in a content-addressed directory.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -38,11 +36,22 @@ _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
+def _budget(text: str) -> int:
+    """A --budget value: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--cache", metavar="DIR", default=None)
-    common.add_argument("--budget", type=int, default=None)
+    common.add_argument("--budget", type=_budget, default=None)
     common.add_argument("--approx", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -236,6 +245,7 @@ def _cache_key(args) -> str:
     by the sha256 of its bytes, which LOADED keeps to build the graph from.
     The output format and the budget do not change the result: not keyed.
     """
+    import hashlib  # here, so that a command without --cache never loads OpenSSL
     parts = [f"version={__version__}", f"command={args.command}"]
     for name in ("t", "flavor", "samples", "seed", "which", "graph6"):
         if hasattr(args, name) and getattr(args, name) is not None:
@@ -279,6 +289,7 @@ def _cache_load(directory: str, key: str):
 
 
 def _cache_store(directory: str, key: str, payload: dict) -> None:
+    import tempfile
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
+from .frozen import frozen
 from .graphs import (
     FAMILIES,
     FIXED_EDGES,
@@ -58,7 +58,7 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@frozen(uncompared=("span",))
 class Node:
     """One construction: `op` is the language's own name for it (a family
     such as K, a fixed name such as C4, kpart, paley, cayley2, complement,
@@ -68,7 +68,7 @@ class Node:
 
     op: str
     args: tuple = ()
-    span: tuple = field(default=(0, 0), compare=False, repr=False)
+    span: tuple = (0, 0)  # where the node starts and ends in the text
 
 
 _TOKEN_RE = re.compile(

@@ -9,9 +9,9 @@ clique, and complementation flips loops along with edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
+from .frozen import frozen
 from .masks import pair_slots, slot_count
 
 CANONICAL_LIMIT = 10
@@ -20,7 +20,7 @@ PALEY_ORDERS = (5, 9, 13, 17, 29)
 MAX_VERTICES = 65536  # largest construction that is ever built
 
 
-@dataclass(frozen=True)
+@frozen
 class LabeledGraph:
     """Undirected graph on vertices 0..n-1 with adjacency rows as bitmasks.
 
@@ -342,7 +342,7 @@ def build_named(name: str, params=()) -> LabeledGraph:
     return _cayley2(params[0], params[1:])
 
 
-@dataclass(frozen=True)
+@frozen
 class CanonicalCode:
     """Isomorphism certificate: the lexicographically minimal row-by-row
     adjacency code over all relabelings, plus the automorphism count.

@@ -14,8 +14,9 @@ ones each slot of the quotient graph on the parts expands to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .frozen import frozen
 
 
 def slot_count(t: int) -> int:
@@ -107,7 +108,7 @@ def set_partitions(t: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(results)
 
 
-@dataclass(frozen=True)
+@frozen
 class PartitionTable:
     """One vertex partition with its composition tables.
 

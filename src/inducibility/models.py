@@ -14,9 +14,9 @@ models exist for irrational mass ratios only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .frozen import frozen
 from .graphs import LabeledGraph
 
 APPROX_TOL = 1e-9  # float comparisons of approximate models, profiles and table rows
@@ -28,14 +28,14 @@ def is_exact(values) -> bool:
     return not any(isinstance(v, float) for v in values)
 
 
-@dataclass(frozen=True)
+@frozen
 class StepModel:
     """k vertex types with masses summing to one and symmetric edge
-    probabilities in [0, 1], diagonal included."""
+    probabilities in [0, 1], diagonal included.  `exact`, set on
+    construction, is False when any of these numbers is a float."""
 
     masses: tuple
     w: tuple
-    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.masses)

@@ -11,10 +11,10 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .frozen import frozen
 from .graphs import LabeledGraph
 from .linalg import solve_rational_kernel
 from .profiles import (
@@ -69,7 +69,7 @@ def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
     return lab
 
 
-@dataclass(frozen=True)
+@frozen
 class TransitionMatrix:
     """Column-stochastic action of one nesting step on type distributions."""
 
@@ -110,7 +110,7 @@ def transition_matrix(G: LabeledGraph, t: int) -> TransitionMatrix:
     return TransitionMatrix(t=t, rows=tuple(zip(*cols)))
 
 
-@dataclass(frozen=True)
+@frozen
 class NestedProfile:
     """Stationary type distribution of iterated composition of a base."""
 

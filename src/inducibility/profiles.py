@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import masks
+from .frozen import frozen
 from .graphs import (
     LabeledGraph,
     build_named,
@@ -56,7 +56,7 @@ def _check_order(t: int) -> None:
         raise ValueError(f"profile order must be in {MIN_ORDER}..{MAX_ORDER}")
 
 
-@dataclass(frozen=True)
+@frozen
 class IsoEntry:
     """One isomorphism type: representative mask, orbit and certificate."""
 
@@ -71,7 +71,7 @@ class IsoEntry:
         return self.rep_mask.bit_count()
 
 
-@dataclass(frozen=True)
+@frozen
 class IsoTable:
     """Isomorphism types of order t with the mask-to-type index."""
 
@@ -154,7 +154,7 @@ def _validate_distribution(values, what: str) -> list:
     return values
 
 
-@dataclass(frozen=True)
+@frozen
 class ProfileVector:
     """Density per isomorphism type, aligned with iso_table(t).entries."""
 
@@ -187,7 +187,7 @@ class ProfileVector:
         return LabeledProfile(t=self.t, flavor=flavor, values=tuple(out))
 
 
-@dataclass(frozen=True)
+@frozen
 class LabeledProfile:
     """Density per labeled graph, indexed by edge-slot mask."""
 
@@ -221,7 +221,7 @@ class LabeledProfile:
         return ProfileVector(t=self.t, flavor=flavor, values=vals)
 
 
-@dataclass(frozen=True)
+@frozen
 class QuantumGraph:
     """Rational combination of isomorphism types of one order."""
 
@@ -612,7 +612,7 @@ def _packed_source(source):
     return mass / mass.sum(), np.array([[float(p) for p in row] for row in source.w])
 
 
-@dataclass(frozen=True)
+@frozen
 class EstimatedProfile:
     """Monte Carlo estimate of a repetitive profile with binomial errors."""
 

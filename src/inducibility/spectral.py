@@ -8,10 +8,10 @@ tensor powers reduce to a handful of per-factor spectral values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import masks
+from .frozen import frozen
 from .models import APPROX_TOL, is_exact
 from .profiles import (
     DEFAULT_ASSIGNMENT_BUDGET,
@@ -47,7 +47,7 @@ def fwht_inverse(values) -> list:
     return list(divide(fwht_forward(values), len(values)))
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectralProfile:
     """Transform of a labeled repetitive profile, indexed by edge-slot mask.
 

@@ -1,12 +1,14 @@
 """Slow reference routes kept as oracles for the fast ones: the Fraction
 enumerator of a step model's labeled repetitive profile, Fraction
-Gauss-Jordan elimination, and the bit-by-bit graph routines that the
-block-swap transpose and the translated cayley2 rows replaced.  They share
-no arithmetic with the package."""
+Gauss-Jordan elimination, the bit-by-bit graph routines that the
+block-swap transpose and the translated cayley2 rows replaced, and stdlib
+dataclass twins of the value classes that `inducibility.frozen` makes.
+They share no arithmetic with the package."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from inducibility import masks
@@ -122,3 +124,140 @@ def cayley2_rows(n: int, weights) -> list:
             row |= 1 << (u ^ g)
         rows.append(row)
     return rows
+
+
+# Twins of the package's value classes, under the same names: the same
+# fields with the same options, as stdlib frozen dataclasses, and no
+# validation or other methods.
+
+
+@dataclass(frozen=True)
+class PartitionTable:
+    parts: tuple
+    size: int
+    within_mask: int
+    part_slot_masks: tuple
+    cross_slot_masks: tuple
+
+
+@dataclass(frozen=True)
+class LabeledGraph:
+    n: int
+    rows: tuple
+
+
+@dataclass(frozen=True)
+class CanonicalCode:
+    n: int
+    bits: tuple
+    aut_count: int
+
+
+@dataclass(frozen=True)
+class StepModel:
+    masses: tuple
+    w: tuple
+    exact: bool = field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class IsoEntry:
+    name: str
+    rep_mask: int
+    orbit: tuple
+    orbit_size: int
+    aut_count: int
+    code: object
+
+
+@dataclass(frozen=True)
+class IsoTable:
+    t: int
+    entries: tuple
+    index: tuple
+    names: dict
+
+
+@dataclass(frozen=True)
+class ProfileVector:
+    t: int
+    flavor: str
+    values: tuple
+
+
+@dataclass(frozen=True)
+class LabeledProfile:
+    t: int
+    flavor: str
+    values: tuple
+
+
+@dataclass(frozen=True)
+class QuantumGraph:
+    t: int
+    coefficients: tuple
+
+
+@dataclass(frozen=True)
+class EstimatedProfile:
+    t: int
+    values: tuple
+    stderr: tuple
+    samples: int
+    seed: int
+
+
+@dataclass(frozen=True)
+class SpectralProfile:
+    t: int
+    values: tuple
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    t: int
+    rows: tuple
+
+
+@dataclass(frozen=True)
+class NestedProfile:
+    profile: object
+    matrix: object
+
+
+@dataclass(frozen=True)
+class Node:
+    op: str
+    args: tuple = ()
+    span: tuple = field(default=(0, 0), compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class ClosedFormBounds:
+    t: int
+    self_nesting_lower: Fraction
+    extended_nesting_lower: Fraction
+    path_upper: Fraction
+
+
+@dataclass(frozen=True)
+class CatalogRow:
+    row_id: str
+    t: int
+    mode: str
+    expected: str
+    target: str = ""
+    target_edges: tuple = ()
+    construction: str = ""
+    factors: str = ""
+    nested_factor: str = ""
+    approx: bool = False
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    row: object
+    computed: object
+    expected: Fraction
+    passed: bool
+    seconds: float

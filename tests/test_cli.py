@@ -174,6 +174,23 @@ def test_error_paths_exit_two(capsys):
             assert time.perf_counter() - start < 1, argv
 
 
+def test_negative_budget_is_refused_when_parsed(capsys, tmp_path):
+    cached = ["profile", "C5", "--t", "3", "--cache", str(tmp_path)]
+    assert _run(capsys, cached)[0] == 0
+    # a cache miss, a cache hit and a command that enumerates nothing alike
+    for argv in (["profile", "C4", "--t", "3", "--cache", str(tmp_path), "--budget", "-1"],
+                 cached + ["--budget", "-1"],
+                 ["bounds", "--t", "4", "--budget", "-7"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "argument --budget: must not be negative" in err
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    assert _run(capsys, ["bounds", "--t", "4", "--budget", "x"])[2].endswith(
+        "argument --budget: invalid int value: 'x'\n")
+    assert _run_json(capsys, cached + ["--budget", "0"])["meta"]["budget"] == 0
+    assert _run_json(capsys, ["bounds", "--t", "4", "--budget", "0"])["meta"]["budget"] == 0
+
+
 def test_exceptions_without_a_message_are_named(capsys, monkeypatch):
     def out_of_memory(args):
         raise MemoryError()
@@ -532,11 +549,18 @@ def test_broken_pipe_exits_without_traceback():
     assert result.stderr == b""
 
 
-def test_cli_import_leaves_numpy_out():
-    # only Monte Carlo needs numpy, and it imports it on first use
-    code = "import sys, inducibility.cli; sys.exit('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=ROOT)
-    assert result.returncode == 0
+def test_cli_import_leaves_heavy_modules_out():
+    # value classes come from inducibility.frozen, not dataclasses (which
+    # brings inspect); only Monte Carlo needs numpy and only --cache needs
+    # hashlib, and each imports it on first use
+    code = ("import sys; before = set(sys.modules); import inducibility.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=ROOT,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "inducibility.frozen" in added
+    assert not added & {"dataclasses", "inspect", "numpy", "hashlib"}
 
 
 def test_benchmark_oracle_checks_import():
