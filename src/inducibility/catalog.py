@@ -198,10 +198,12 @@ def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_
 
 
 def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int = DEFAULT_SUBSET_BUDGET):
-    """A nested base, charged from its plan what stationary_profile charges."""
+    """A nested base, checked and charged from its plan before it is built."""
     n, looped, _, build = plan(parse_expr(expr), approx)
     if looped is None:
         raise ValueError(message)
+    if looped:
+        raise ValueError("composition is defined over loopless outer graphs")
     charge(subset_cost(n, t), "subsets", budget)
     return build()
 

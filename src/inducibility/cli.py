@@ -36,8 +36,8 @@ _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
-def _budget(text: str) -> int:
-    """A --budget value: an integer, 0 or more."""
+def _natural(text: str) -> int:
+    """A --budget or --seed value: an integer, 0 or more."""
     try:
         value = int(text)
     except ValueError:
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--cache", metavar="DIR", default=None)
-    common.add_argument("--budget", type=_budget, default=None)
+    common.add_argument("--budget", type=_natural, default=None)
     common.add_argument("--approx", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common], help="Monte Carlo profile")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_natural, required=True)
     p.add_argument("expr")
 
     p = sub.add_parser("bounds", parents=[common], help="closed-form bounds")

@@ -8,8 +8,8 @@ Relabeling acts on masks, and on per-vertex loop bits, through orbits
 built by closure under adjacent transpositions.
 
 The module also precomputes, per vertex partition, the tables driving the
-composition calculus: which t-vertex slots lie within each part, and which
-ones each slot of the quotient graph on the parts expands to.
+composition calculus: which t-vertex slots lie within each set of parts,
+and which ones each mask of the quotient graph on the parts expands to.
 """
 
 from __future__ import annotations
@@ -110,19 +110,25 @@ def set_partitions(t: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 @frozen
 class PartitionTable:
-    """One vertex partition with its composition tables.
+    """One vertex partition with its composition tables, the quotient graph
+    having the parts as vertices (ordered by smallest element).
 
-    part_slot_masks[p] holds the t-vertex slots inside part p, and
-    cross_slot_masks[q] the slots that quotient slot q expands to, the
-    quotient graph having the parts as vertices (ordered by smallest
-    element); within_mask is the union of the part slot masks.
+    loop_slots[b] holds the t-vertex slots inside the parts in the set b
+    (bit p for part p), so loop_slots[-1] holds every slot within a part;
+    cross_slots[q] holds the slots that the quotient mask q expands to.
     """
 
-    parts: tuple[tuple[int, ...], ...]
     size: int
-    within_mask: int
-    part_slot_masks: tuple[int, ...]
-    cross_slot_masks: tuple[int, ...]
+    loop_slots: tuple[int, ...]
+    cross_slots: tuple[int, ...]
+
+
+def _unions(singles) -> tuple[int, ...]:
+    """Union of singles[k] over the set bits k of b, for every b."""
+    out = [0]
+    for single in singles:
+        out += [u | single for u in out]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -137,22 +143,12 @@ def partition_tables(t: int) -> tuple[PartitionTable, ...]:
         qslot = slot_of(ell) if ell >= 2 else {}
         part_masks = [0] * ell
         cross_masks = [0] * slot_count(ell)
-        within = 0
         for k, (i, j) in enumerate(pair_slots(t)):
             p, q = part_of[i], part_of[j]
             if p == q:
                 part_masks[p] |= 1 << k
-                within |= 1 << k
             else:
                 a, b = (p, q) if p < q else (q, p)
                 cross_masks[qslot[(a, b)]] |= 1 << k
-        out.append(
-            PartitionTable(
-                parts=parts,
-                size=ell,
-                within_mask=within,
-                part_slot_masks=tuple(part_masks),
-                cross_slot_masks=tuple(cross_masks),
-            )
-        )
+        out.append(PartitionTable(size=ell, loop_slots=_unions(part_masks), cross_slots=_unions(cross_masks)))
     return tuple(out)

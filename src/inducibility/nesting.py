@@ -22,6 +22,7 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     charge,
+    clear_denominators,
     divide,
     iso_table,
     labeled_repetitive,
@@ -49,14 +50,17 @@ def compose_profile(G: LabeledGraph, inner: LabeledProfile) -> LabeledProfile:
     Sampled vertices sharing an outer coordinate form the parts of a
     partition; cross-part adjacency follows an ordered pattern of distinct
     vertices of G, while within-part adjacency marginalizes the inner
-    profile.
+    profile.  The inner profile is cleared to integers over one
+    denominator d (floats stay as they are under d = 1.0), and the lift is
+    divided once by d * n^t.
     """
     if inner.flavor != "r":
         raise ValueError("inner profile must be repetitive")
     t = inner.t
-    weights = {mask: v for mask, v in enumerate(inner.values) if v}
+    d, scaled = clear_denominators(inner.values)
+    weights = {mask: v for mask, v in enumerate(scaled) if v}
     nums = partition_lift(t, _outer_counts(G, t), weights)
-    return LabeledProfile(t=t, flavor="r", values=divide(nums, G.n ** t))
+    return LabeledProfile(t=t, flavor="r", values=divide(nums, d * G.n ** t))
 
 
 def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:

@@ -430,16 +430,6 @@ def ordered_counts(G: LabeledGraph, t: int) -> dict:
     return {ell: _ordered(ell, _decorated_subset_counts(G, ell)) for ell in range(1, min(G.n, t) + 1)}
 
 
-def _expand(bits: int, slot_masks) -> int:
-    """Union of slot_masks[k] over the set bits k of bits."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= slot_masks[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def partition_lift(t: int, ordered: dict, inner=None) -> list:
     """Numerators of a labeled repetitive t-profile, lifted from patterns on
     the distinct vertices the samples hit.
@@ -457,19 +447,19 @@ def partition_lift(t: int, ordered: dict, inner=None) -> list:
         counts = ordered.get(pt.size)
         if not counts:
             continue
+        cross, loop = pt.cross_slots, pt.loop_slots
         if inner is None:
             for (qmask, qloops), cnt in counts.items():
-                lifted = _expand(qmask, pt.cross_slot_masks) | _expand(qloops, pt.part_slot_masks)
-                out[lifted] += cnt
+                out[cross[qmask] | loop[qloops]] += cnt
             continue
-        within = pt.within_mask
+        within = loop[-1]
         marginal: dict = {}
         for mask, value in inner.items():
             marginal[mask & within] = marginal.get(mask & within, 0) + value
         for (qmask, _), cnt in counts.items():
-            cross = _expand(qmask, pt.cross_slot_masks)
+            spread = cross[qmask]
             for slots, value in marginal.items():
-                out[cross | slots] += cnt * value
+                out[spread | slots] += cnt * value
     return out
 
 
@@ -530,28 +520,39 @@ def repetitive_profile(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
     return labeled_repetitive(source, t, budget).to_unlabeled()
 
 
+def _marginal(values, t: int, ell: int) -> list:
+    """Marginal of a labeled t-vector on its first ell vertices: entry m
+    sums the values of the masks whose slots among those vertices are m."""
+    index = masks.slot_of(ell) if ell >= 2 else {}
+    kept = [(k, index[(i, j)]) for k, (i, j) in enumerate(masks.pair_slots(t)) if j < ell]
+    out = [0] * (1 << masks.slot_count(ell))
+    for mask, v in enumerate(values):
+        if v:
+            out[sum(1 << b for k, b in kept if (mask >> k) & 1)] += v
+    return out
+
+
 def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     """Repetitive profile of a loopless s-vertex graph from its induced
-    t-profile.  Each ell-subset lies in C(s-ell, t-ell) of the t-subsets,
-    so its unordered ell-pattern counts are those of the type
-    representatives weighted by P[type] * C(s, ell) / C(t, ell).  P need not
-    come from an actual graph, so these counts stay rationals."""
+    t-profile.  The first ell positions of a uniformly random ordered
+    t-tuple of distinct vertices form a uniformly random ordered ell-tuple,
+    so the ordered ell-pattern counts are s(s-1)...(s-ell+1) times the
+    marginal of P's labeled profile on the first ell vertices, and their
+    partition lift is the repetitive profile times s^t.  P need not come
+    from an actual graph: its labeled profile is cleared to integers over
+    one denominator d, and the lift is divided once by d * s^t."""
     if P.flavor != "induced":
         raise ValueError("expected an induced profile")
     if t != P.t:
         raise ValueError("order mismatch")
     if s < t:
         raise ValueError("source graph must have at least t vertices")
-    reps = [(graph_from_mask(t, e.rep_mask), v) for e, v in zip(iso_table(t).entries, P.values) if v]
-    ordered = {}
-    for ell in range(1, t + 1):
-        scale = Fraction(math.comb(s, ell), math.comb(t, ell))
-        unordered: dict = {}
-        for R, value in reps:
-            for pattern, c in _decorated_subset_counts(R, ell).items():
-                unordered[pattern] = unordered.get(pattern, 0) + value * scale * c
-        ordered[ell] = _ordered(ell, unordered)
-    values = divide(partition_lift(t, ordered), s ** t)
+    d, scaled = clear_denominators(P.as_labeled().values)
+    ordered = {
+        ell: {(mask, 0): v * math.perm(s, ell) for mask, v in enumerate(_marginal(scaled, t, ell)) if v}
+        for ell in range(1, t + 1)
+    }
+    values = divide(partition_lift(t, ordered), d * s ** t)
     return LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
 
 
@@ -573,15 +574,9 @@ def induced_from_repetitive(lab: LabeledProfile, s: int) -> ProfileVector:
     if s < t:
         raise ValueError("graph has fewer vertices than the profile order")
     d, scaled = clear_denominators(lab.values)
-    pairs = masks.pair_slots(t)
     ordered: dict = {}
     for ell in range(1, t + 1):
-        index = masks.slot_of(ell) if ell >= 2 else {}
-        kept = [(k, index[(i, j)]) for k, (i, j) in enumerate(pairs) if j < ell]
-        marginal = [0] * (1 << masks.slot_count(ell))
-        for mask, v in enumerate(scaled):
-            if v:
-                marginal[sum(1 << b for k, b in kept if (mask >> k) & 1)] += v
+        marginal = _marginal(scaled, t, ell)
         lifted = partition_lift(ell, ordered)
         scale = s ** ell
         ordered[ell] = {(mask, 0): v * scale - low for mask, (v, low) in enumerate(zip(marginal, lifted))}

@@ -1,17 +1,21 @@
 """Slow reference routes kept as oracles for the fast ones: the Fraction
 enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
-block-swap transpose and the translated cayley2 rows replaced, and stdlib
-dataclass twins of the value classes that `inducibility.frozen` makes.
-They share no arithmetic with the package."""
+block-swap transpose and the translated cayley2 rows replaced, the
+partition lift expanded bit by bit with the routes over it in Fractions,
+and stdlib dataclass twins of the value classes that `inducibility.frozen`
+makes.  They share no arithmetic with the package; the lift routes take
+their pattern counts from its counter."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from inducibility import masks
+from inducibility import masks, profiles
+from inducibility.graphs import graph_from_mask
 
 
 def repetitive_by_assignments(M, t: int) -> list:
@@ -126,6 +130,89 @@ def cayley2_rows(n: int, weights) -> list:
     return rows
 
 
+def _expand(bits: int, slot_masks) -> int:
+    """Union of slot_masks[k] over the set bits k of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= slot_masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _partition_slots(t: int, parts) -> tuple:
+    """Per part, the t-vertex slots inside it; per quotient slot, the
+    t-vertex slots it expands to."""
+    part_of = {v: p for p, part in enumerate(parts) for v in part}
+    qslot = masks.slot_of(len(parts)) if len(parts) >= 2 else {}
+    within = [0] * len(parts)
+    cross = [0] * masks.slot_count(len(parts))
+    for k, (i, j) in enumerate(masks.pair_slots(t)):
+        p, q = sorted((part_of[i], part_of[j]))
+        if p == q:
+            within[p] |= 1 << k
+        else:
+            cross[qslot[(p, q)]] |= 1 << k
+    return within, cross
+
+
+def partition_lift(t: int, ordered: dict, inner=None) -> list:
+    """The partition lift of profiles.partition_lift, each quotient mask
+    and loop set expanded one bit at a time, in the same order of terms."""
+    out = [0] * (1 << masks.slot_count(t))
+    for parts in masks.set_partitions(t):
+        counts = ordered.get(len(parts))
+        if not counts:
+            continue
+        within, cross = _partition_slots(t, parts)
+        if inner is None:
+            for (qmask, qloops), cnt in counts.items():
+                out[_expand(qmask, cross) | _expand(qloops, within)] += cnt
+            continue
+        every = _expand((1 << len(parts)) - 1, within)
+        marginal: dict = {}
+        for mask, value in inner.items():
+            marginal[mask & every] = marginal.get(mask & every, 0) + value
+        for (qmask, _), cnt in counts.items():
+            spread = _expand(qmask, cross)
+            for slots, value in marginal.items():
+                out[spread | slots] += cnt * value
+    return out
+
+
+def _divide(numerators, denominator: int) -> tuple:
+    if any(isinstance(v, float) for v in numerators):
+        return tuple(v / denominator for v in numerators)
+    return tuple(Fraction(v) / denominator for v in numerators)
+
+
+def compose_profile(G, inner):
+    """Labeled repetitive profile of G composed over `inner`, the inner
+    values lifted as they are, Fractions or floats, and divided by n^t."""
+    t = inner.t
+    weights = {mask: v for mask, v in enumerate(inner.values) if v}
+    nums = partition_lift(t, profiles.ordered_counts(G, t), weights)
+    return profiles.LabeledProfile(t=t, flavor="r", values=_divide(nums, G.n ** t))
+
+
+def repetitive_from_induced(P, s: int, t: int):
+    """Repetitive profile of an s-vertex graph from its induced t-profile
+    P, through graphs: each ell-subset lies in C(s-ell, t-ell) of the
+    t-subsets, so its unordered ell-pattern counts are those of the type
+    representatives weighted by P[type] * C(s, ell) / C(t, ell)."""
+    reps = [(graph_from_mask(t, e.rep_mask), v) for e, v in zip(profiles.iso_table(t).entries, P.values) if v]
+    ordered = {}
+    for ell in range(1, t + 1):
+        scale = Fraction(math.comb(s, ell), math.comb(t, ell))
+        unordered: dict = {}
+        for R, value in reps:
+            for pattern, c in profiles._decorated_subset_counts(R, ell).items():
+                unordered[pattern] = unordered.get(pattern, 0) + value * scale * c
+        ordered[ell] = profiles._ordered(ell, unordered)
+    values = _divide(partition_lift(t, ordered), s ** t)
+    return profiles.LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
+
+
 # Twins of the package's value classes, under the same names: the same
 # fields with the same options, as stdlib frozen dataclasses, and no
 # validation or other methods.
@@ -133,11 +220,9 @@ def cayley2_rows(n: int, weights) -> list:
 
 @dataclass(frozen=True)
 class PartitionTable:
-    parts: tuple
     size: int
-    within_mask: int
-    part_slot_masks: tuple
-    cross_slot_masks: tuple
+    loop_slots: tuple
+    cross_slots: tuple
 
 
 @dataclass(frozen=True)

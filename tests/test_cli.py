@@ -191,6 +191,16 @@ def test_negative_budget_is_refused_when_parsed(capsys, tmp_path):
     assert _run_json(capsys, ["bounds", "--t", "4", "--budget", "0"])["meta"]["budget"] == 0
 
 
+def test_negative_seed_is_refused_when_parsed(capsys):
+    estimate = ["estimate", "--t", "3", "--samples", "5", "C5", "--seed"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, estimate + ["-1"])
+    assert (code, out) == (2, "") and err.endswith("argument --seed: must not be negative: -1\n")
+    assert time.perf_counter() - start < 1
+    assert _run(capsys, estimate + ["x"])[2].endswith("argument --seed: invalid int value: 'x'\n")
+    assert _run_json(capsys, estimate + ["0"])["meta"]["seed"] == 0
+
+
 def test_exceptions_without_a_message_are_named(capsys, monkeypatch):
     def out_of_memory(args):
         raise MemoryError()
@@ -235,6 +245,7 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
     assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
     assert _refuse_everywhere(monkeypatch, models.model_union, "a union was built")
     capped = "construction has 131072 vertices, above the limit of 65536; use a step-model or spectral route instead"
+    looped = "composition is defined over loopless outer graphs"
     profile = ["profile", "--t", "3", "--budget", "10"]
     for argv, message in (
         (profile + ["compose(K65536, K2)"], f"{capped} (at column 1)"),
@@ -246,12 +257,17 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
         (profile + ["union(K65536:1)"], f"{math.comb(65536, 3)} subsets exceed the budget of 10"),
         (["nested-profile", "--t", "3", "--budget", "10", "compose(K200, K200)"],
          f"{math.comb(40000, 3)} subsets exceed the budget of 10"),
-        (["limit", "--t", "4", "--quantum", "P4", "--nested", "complement(K20000)"],
+        (["limit", "--t", "4", "--quantum", "P4", "--nested", "blowup(K10000, 2)"],
          f"{math.comb(20000, 4)} subsets exceed the budget of 1000000000"),
         (["profile", "--t", "3", "--budget", "1000", "union(cayley2(11; 7):9/10)"],
          f"{math.comb(2048, 3)} subsets exceed the budget of 1000"),
         (["limit", "--t", "4", "--quantum", "K4", "--factors", "blowup(complement(cayley2(11; 4)), 23)"],
          f"{math.comb(47104, 4)} subsets exceed the budget of 10000000000"),
+        # a looped nested base is refused from its plan, before the budget
+        (["nested-profile", "--t", "3", "--budget", "100000000000000", "complement(K30000)"], looped),
+        (["limit", "--t", "4", "--quantum", "P4", "--nested", "complement(K20000)"], looped),
+        (["limit", "--t", "2", "--quantum", "K2", "--nested", "loopK30000"], looped),
+        (["nested-profile", "--t", "3", "--budget", "1", "loopK3"], looped),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv

@@ -1,23 +1,30 @@
 """Differential tests of every partition-lift route against the Fraction
 per-assignment enumerator of tests/oracles.py, which shares no code with
-the lift."""
+the lift, and of the integer lift routes against the bit-by-bit Fraction
+routes they replaced."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from inducibility.graphs import from_edges
-from inducibility.masks import pair_slots
+from inducibility.masks import pair_slots, slot_count
 from inducibility.models import StepModel, from_graph
 from inducibility.nesting import compose_profile, transition_matrix
 from inducibility.profiles import (
     LabeledProfile,
+    ProfileVector,
     induced_profile,
+    iso_table,
     labeled_repetitive,
     labeled_repetitive_profile,
+    ordered_counts,
+    partition_lift,
     repetitive_from_induced,
     repetitive_profile,
 )
@@ -119,3 +126,44 @@ def test_transition_matrix_matches_oracle(case):
     t, G, M = case
     applied = transition_matrix(G, t).apply(repetitive_profile(M, t).values)
     assert applied == oracle(substitute(G, M), t).to_unlabeled().values
+
+
+@pytest.mark.parametrize("t", range(2, 6))
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_lift_of_any_induced_distribution_matches_graph_route(t, data):
+    # a distribution that no graph need realize, most types often absent
+    size = len(iso_table(t).entries)
+    weights = data.draw(st.lists(st.one_of(st.just(0), st.integers(1, 9)), min_size=size, max_size=size))
+    weights[data.draw(st.integers(0, size - 1))] += 1
+    P = ProfileVector(t=t, flavor="induced", values=tuple(Fraction(w, sum(weights)) for w in weights))
+    s = data.draw(st.integers(t, 60))
+    assert repetitive_from_induced(P, s, t) == oracles.repetitive_from_induced(P, s, t)
+
+
+@settings(max_examples=60)
+@given(graphs(), orders)
+def test_partition_lift_matches_bitwise_expansion(G, t):
+    ordered = ordered_counts(G, t)
+    assert partition_lift(t, ordered) == oracles.partition_lift(t, ordered)
+
+
+@settings(max_examples=60)
+@given(graphs(), orders, st.data())
+def test_partition_lift_of_inner_weights_matches_bitwise_expansion(G, t, data):
+    keys = st.integers(0, (1 << slot_count(t)) - 1)
+    weights = st.one_of(st.integers(1, 10 ** 6), st.fractions(0, 1, max_denominator=30))
+    inner = data.draw(st.dictionaries(keys, weights, min_size=1, max_size=40))
+    ordered = ordered_counts(G, t)
+    assert partition_lift(t, ordered, inner) == oracles.partition_lift(t, ordered, inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=5, loops=False), orders, st.data())
+def test_compose_profile_matches_fraction_route(G, t, data):
+    exact = labeled_repetitive_profile(data.draw(inner_models(3)), t)
+    assert compose_profile(G, exact) == oracles.compose_profile(G, exact)
+    # floats keep their operation order, so they agree to the bit
+    floats = LabeledProfile(t=t, flavor="r", values=tuple(float(v) for v in exact.values))
+    got, expected = compose_profile(G, floats).values, oracles.compose_profile(G, floats).values
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
