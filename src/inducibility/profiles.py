@@ -624,38 +624,47 @@ class EstimatedProfile:
         return self.stderr[iso_table(self.t).type_index(key)]
 
 
-_BATCH = 1 << 20
+_BATCH = 1 << 20  # model samples per batch, which fixes a model's draw order
+_CHUNK = 1 << 11  # graph samples per chunk, and model samples per comparison
 
 
 def _sample_masks(packed, t, rng, count, pairs):
-    """Yield int64 mask arrays for `count` samples from a graph or model
-    packed by _packed_source."""
+    """Yield int64 edge-slot mask arrays for `count` samples from a graph or
+    model packed by _packed_source.  A graph's vertices are drawn _CHUNK
+    samples at a time, one array per chunk: successive `rng.integers` calls
+    continue one stream, so the draws are those of a single call, and the
+    live arrays are O(_CHUNK * t) whatever `count` is.  A model keeps its
+    draw order per batch of _BATCH samples, the types of the whole batch
+    first and then one uniform per slot, and compares each slot chunk by
+    chunk."""
     import numpy as np
-    done = 0
     if not isinstance(packed, tuple):
-        n = len(packed)
-        while done < count:
-            batch = min(count - done, _BATCH)
-            verts = rng.integers(0, n, size=(batch, t))
-            mask = np.zeros(batch, dtype=np.int64)
+        n, nbytes = packed.shape
+        flat = packed.reshape(-1)
+        for done in range(0, count, _CHUNK):
+            # one contiguous row per sample position, and its row starts in
+            # `flat` computed once for all its slots; the byte and shift are
+            # taken per slot, since two more arrays raise a small shard's peak
+            cols = rng.integers(0, n, size=(min(count - done, _CHUNK), t)).T.copy()
+            rows = cols * nbytes
+            mask = np.zeros(cols.shape[1], dtype=np.int64)
             for slot, (i, j) in enumerate(pairs):
-                v = verts[:, j]
-                mask |= ((packed[verts[:, i], v >> 3] >> (v & 7)) & 1) << slot
+                v = cols[j]
+                mask |= ((flat[rows[i] + (v >> 3)] >> (v & 7)) & 1) << slot
             yield mask
-            done += batch
     else:
         mass, wf = packed
-        k = len(mass)
-        while done < count:
+        for done in range(0, count, _BATCH):
             batch = min(count - done, _BATCH)
-            types = rng.choice(k, size=(batch, t), p=mass)
+            types = rng.choice(len(mass), size=(batch, t), p=mass)
             mask = np.zeros(batch, dtype=np.int64)
             for slot, (i, j) in enumerate(pairs):
-                p = wf[types[:, i], types[:, j]]
-                bit = rng.random(batch) < p
-                mask |= bit.astype(np.int64) << slot
+                uniform = rng.random(batch)
+                for lo in range(0, batch, _CHUNK):
+                    part = slice(lo, lo + _CHUNK)
+                    hit = uniform[part] < wf[types[part, i], types[part, j]]
+                    mask[part] |= hit.astype(np.int64) << slot
             yield mask
-            done += batch
 
 
 def charge_samples(samples: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> None:

@@ -3,9 +3,10 @@ enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
 block-swap transpose and the translated cayley2 rows replaced, the
 partition lift expanded bit by bit with the routes over it in Fractions,
-and stdlib dataclass twins of the value classes that `inducibility.frozen`
-makes.  They share no arithmetic with the package; the lift routes take
-their pattern counts from its counter."""
+the Monte Carlo sampler that drew each batch whole, and stdlib dataclass
+twins of the value classes that `inducibility.frozen` makes.  They share
+no arithmetic with the package; the lift routes take their pattern counts
+from its counter, and the sampler reads its packed adjacency."""
 
 from __future__ import annotations
 
@@ -128,6 +129,39 @@ def cayley2_rows(n: int, weights) -> list:
             row |= 1 << (u ^ g)
         rows.append(row)
     return rows
+
+
+def sample_masks(packed, t, rng, count, pairs):
+    """Yield int64 mask arrays for `count` samples from a graph or model
+    packed by `profiles._packed_source`, in batches of up to 2^20 samples
+    drawn by one call each; every slot reads its own byte and shift, and a
+    model compares each slot over the whole batch."""
+    import numpy as np
+    done = 0
+    if not isinstance(packed, tuple):
+        n = len(packed)
+        while done < count:
+            batch = min(count - done, 1 << 20)
+            verts = rng.integers(0, n, size=(batch, t))
+            mask = np.zeros(batch, dtype=np.int64)
+            for slot, (i, j) in enumerate(pairs):
+                v = verts[:, j]
+                mask |= ((packed[verts[:, i], v >> 3] >> (v & 7)) & 1) << slot
+            yield mask
+            done += batch
+    else:
+        mass, wf = packed
+        k = len(mass)
+        while done < count:
+            batch = min(count - done, 1 << 20)
+            types = rng.choice(k, size=(batch, t), p=mass)
+            mask = np.zeros(batch, dtype=np.int64)
+            for slot, (i, j) in enumerate(pairs):
+                p = wf[types[:, i], types[:, j]]
+                bit = rng.random(batch) < p
+                mask |= bit.astype(np.int64) << slot
+            yield mask
+            done += batch
 
 
 def _expand(bits: int, slot_masks) -> int:

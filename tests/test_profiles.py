@@ -253,12 +253,15 @@ def test_packed_adjacency_holds_one_bit_per_pair():
 def test_sampled_masks_follow_the_adjacency_rows():
     import numpy as np
     from inducibility import masks
+    from inducibility.profiles import _CHUNK
     G = _random_loopless(random.Random(4), 19)
     t = 4
+    count = 2 * _CHUNK + 5
     pairs = masks.pair_slots(t)
-    (got,) = _sample_masks(_packed_source(G), t, np.random.default_rng(5), 2000, pairs)
-    verts = np.random.default_rng(5).integers(0, G.n, size=(2000, t))
+    chunks = list(_sample_masks(_packed_source(G), t, np.random.default_rng(5), count, pairs))
+    assert [len(c) for c in chunks] == [_CHUNK, _CHUNK, 5]
+    verts = np.random.default_rng(5).integers(0, G.n, size=(count, t))
     want = [
         sum(((G.rows[row[i]] >> row[j]) & 1) << s for s, (i, j) in enumerate(pairs)) for row in verts.tolist()
     ]
-    assert got.tolist() == want
+    assert np.concatenate(chunks).tolist() == want

@@ -1,0 +1,103 @@
+"""The chunked Monte Carlo sampler against the sampler in tests/oracles.py
+that drew each batch whole: the same masks, counts, values and standard
+errors to the last bit, on graphs with partial loops and on exact and
+float models, and memory that does not grow with the sample count."""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from inducibility import dsl, profiles
+from inducibility.graphs import build_named, from_edges
+from oracles import sample_masks
+
+# around the chunk boundary: 32 shards of _CHUNK - 1, _CHUNK or _CHUNK + 1
+SAMPLE_COUNTS = (1, 31, 32, 33, 32 * profiles._CHUNK - 1, 32 * profiles._CHUNK + 1)
+MODELS = ("bernoulli(1/3)", "union(K3:1, K3:2, bernoulli(1/3):1)", "union(C5:2, P4:1, bernoulli(2/7):3)")
+
+
+def _random_graph(n: int, density: float, seed: int):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return from_edges(n, edges, [u for u in range(n) if rng.random() < 0.3])
+
+
+def _model(text: str, approx: bool):
+    return dsl.evaluate(dsl.parse_expr(text), approx=approx)
+
+
+@st.composite
+def sources(draw):
+    """A graph on 1..70 vertices with some loops, or a model, exact or float."""
+    if draw(st.booleans()):
+        return _model(draw(st.sampled_from(MODELS)), draw(st.booleans()))
+    density = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return _random_graph(draw(st.integers(1, 70)), density, draw(st.integers(0, 2**32)))
+
+
+def at_the_chunk_boundary(t: int):
+    """Examples where every shard draws one sample past a chunk: a graph, an
+    exact model and a float model."""
+    def decorate(test):
+        for source in (_random_graph(70, 0.5, 1), _model(MODELS[1], False), _model(MODELS[2], True)):
+            test = example(source, t, 32 * (profiles._CHUNK + 1), 7)(test)
+        return test
+    return decorate
+
+
+def _mask_counts(source, t, samples, seed):
+    masks = np.concatenate(list(profiles._sampled_masks(source, t, samples, seed, profiles.DEFAULT_ASSIGNMENT_BUDGET)))
+    return [a.tolist() for a in np.unique(masks, return_counts=True)]
+
+
+def _chunked_and_whole(estimate, *args):
+    got = estimate(*args)
+    with mock.patch.object(profiles, "_sample_masks", sample_masks):
+        return got, estimate(*args)
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=80)
+@given(sources(), st.integers(2, 5), st.sampled_from(SAMPLE_COUNTS), st.integers(0, 2**32 - 1))
+@at_the_chunk_boundary(5)
+def test_profile_estimates_match_the_whole_batch_sampler(source, t, samples, seed):
+    got, want = _chunked_and_whole(_mask_counts, source, t, samples, seed)
+    assert got == want
+    got, want = _chunked_and_whole(profiles.monte_carlo_profile, source, t, samples, seed)
+    assert (_hex(got.values), _hex(got.stderr)) == (_hex(want.values), _hex(want.stderr))
+
+
+@settings(max_examples=60)
+@given(sources(), st.integers(2, 8), st.sampled_from(SAMPLE_COUNTS), st.integers(0, 2**32 - 1))
+@at_the_chunk_boundary(8)
+def test_monochromatic_estimates_match_the_whole_batch_sampler(source, t, samples, seed):
+    got, want = _chunked_and_whole(_mask_counts, source, t, samples, seed)
+    assert got == want
+    got, want = _chunked_and_whole(profiles.monte_carlo_monochromatic, source, t, samples, seed)
+    assert _hex(got) == _hex(want)
+
+
+def test_sampling_memory_does_not_grow_with_the_samples():
+    cayley = build_named("cayley2", [10, 1, 2, 5, 6, 9, 10])
+    profiles.monte_carlo_profile(cayley, 5, 32, seed=3)  # lazy imports and tables
+
+    def peak(samples: int) -> int:
+        tracemalloc.start()
+        try:
+            profiles.monte_carlo_profile(cayley, 5, samples, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    large, small = peak(2_000_000), peak(200_000)
+    assert large < 2 << 20, large
+    assert abs(large - small) < 1 << 19, (large, small)
