@@ -8,9 +8,9 @@ its expected value; running a table recomputes each row through the
 profile, nesting and spectral pipelines and compares.  The row modes
 model, nested and product are the functions density, nested_profile and
 limit_density, which the CLI's density, nested-profile and limit commands
-call too.  Under density and limit_density, and under the CLI's profile,
-repetitive_of and induced_of take an expression node to its profile,
-profiling an exact tensor from its factors without building it.
+call too.  Under each of them, and under the CLI's profile, repetitive_of
+and induced_of take an expression node to its profile, a nested base
+included, profiling an exact tensor from its factors without building it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .profiles import (
     labeled_repetitive,
     quantum_density,
     repetitive_cost,
-    subset_cost,
 )
 from .spectral import convolve, fourier, product_limit_density
 
@@ -175,20 +174,27 @@ def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSI
     return _convolved(plans, t, budget)
 
 
+def _graph_plans(node, t: int, approx: bool, message: str, loop_message: str) -> tuple:
+    """The plans of a graph construction's factors, as repetitive_of takes
+    them, and its vertex count; a model or loops get the caller's message."""
+    plans = [plan(f, approx) for f in _factors(node, approx)]
+    iso_table(t)
+    if any(looped is None for _, looped, _, _ in plans):
+        raise ValueError(message)
+    # a product vertex has a loop iff an odd number of its coordinates do
+    if sum(looped for _, looped, _, _ in plans) % 2:
+        raise ValueError(loop_message)
+    return plans, math.prod(n for n, *_ in plans)
+
+
 def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
     """Induced t-profile of a graph construction, checked and charged from
     its plan before it is built.  An exact tensor is not built: the
     repetitive profile of its factors, charged as repetitive_of charges
     them, is lifted back by induced_from_repetitive.  Every other
     construction is counted by its t-subsets."""
-    plans = [plan(f, approx) for f in _factors(node, approx)]
-    iso_table(t)
-    if any(looped is None for _, looped, _, _ in plans):
-        raise ValueError("induced profiles need a graph construction")
-    # a product vertex has a loop iff an odd number of its coordinates do
-    if sum(looped for _, looped, _, _ in plans) % 2:
-        raise ValueError("induced profiles are defined for loopless graphs")
-    s = math.prod(n for n, *_ in plans)
+    plans, s = _graph_plans(node, t, approx, "induced profiles need a graph construction",
+                            "induced profiles are defined for loopless graphs")
     if s < t:
         raise ValueError("graph has fewer vertices than the profile order")
     if len(plans) == 1:
@@ -197,15 +203,11 @@ def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_
     return induced_from_repetitive(_convolved(plans, t, budget), s)
 
 
-def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int = DEFAULT_SUBSET_BUDGET):
-    """A nested base, checked and charged from its plan before it is built."""
-    n, looped, _, build = plan(parse_expr(expr), approx)
-    if looped is None:
-        raise ValueError(message)
-    if looped:
-        raise ValueError("composition is defined over loopless outer graphs")
-    charge(subset_cost(n, t), "subsets", budget)
-    return build()
+def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple:
+    """A nested base as (vertex count, labeled repetitive t-profile), profiled
+    as repetitive_of profiles it: an exact tensor from its factors."""
+    plans, s = _graph_plans(parse_expr(expr), t, approx, message, "composition is defined over loopless outer graphs")
+    return s, _convolved(plans, t, budget)
 
 
 def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):
@@ -272,11 +274,11 @@ def reproduce_table(which: str, **budget) -> list:
     return [run_row(row, **budget) for row in catalog_rows(which)]
 
 
-def _model_row(row_id, t, target, construction, expected, approx=False, edges=None):
+def _model_row(row_id, t, target, construction, expected, approx=False, edges=None, mode="model"):
     return CatalogRow(
         row_id=row_id,
         t=t,
-        mode="model",
+        mode=mode,
         target=target if edges is None else "",
         target_edges=tuple(edges) if edges is not None else (),
         construction=construction,
@@ -286,15 +288,7 @@ def _model_row(row_id, t, target, construction, expected, approx=False, edges=No
 
 
 def _nested_row(row_id, t, target, construction, expected, edges=None):
-    return CatalogRow(
-        row_id=row_id,
-        t=t,
-        mode="nested",
-        target=target if edges is None else "",
-        target_edges=tuple(edges) if edges is not None else (),
-        construction=construction,
-        expected=expected,
-    )
+    return _model_row(row_id, t, target, construction, expected, edges=edges, mode="nested")
 
 
 def _product_row(row_id, t, target, factors, expected, nested_factor=""):

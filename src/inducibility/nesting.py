@@ -21,14 +21,12 @@ from .profiles import (
     DEFAULT_SUBSET_BUDGET,
     LabeledProfile,
     ProfileVector,
-    charge,
     clear_denominators,
     divide,
     iso_table,
     labeled_repetitive,
-    ordered_counts,
+    ordered_from_repetitive,
     partition_lift,
-    subset_cost,
 )
 from .spectral import SpectralProfile, fourier
 
@@ -37,13 +35,17 @@ class DegenerateStationaryError(RuntimeError):
     """The fixed-point space of the nesting map is not one dimensional."""
 
 
-def _outer_counts(G: LabeledGraph, t: int) -> dict:
+def _base(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple:
+    """The input of the nesting calculus, a pair (n, labeled repetitive
+    t-profile) as it is, or a loopless graph profiled against the budget."""
+    if not isinstance(G, LabeledGraph):
+        return G
     if not G.is_loopless:
         raise ValueError("composition is defined over loopless outer graphs")
-    return ordered_counts(G, t)
+    return G.n, labeled_repetitive(G, t, budget)
 
 
-def compose_profile(G: LabeledGraph, inner: LabeledProfile) -> LabeledProfile:
+def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:
     """Labeled repetitive profile of G composed over an inner limit with
     labeled profile `inner`.
 
@@ -57,10 +59,14 @@ def compose_profile(G: LabeledGraph, inner: LabeledProfile) -> LabeledProfile:
     if inner.flavor != "r":
         raise ValueError("inner profile must be repetitive")
     t = inner.t
+    n, lab = _base(G, t)
+    # the base's counts are integers, so floats are lifted as a graph's are
+    e, ordered = ordered_from_repetitive(lab, n)
+    ordered = {ell: {k: c // e for k, c in counts.items()} for ell, counts in ordered.items()}
     d, scaled = clear_denominators(inner.values)
     weights = {mask: v for mask, v in enumerate(scaled) if v}
-    nums = partition_lift(t, _outer_counts(G, t), weights)
-    return LabeledProfile(t=t, flavor="r", values=divide(nums, d * G.n ** t))
+    nums = partition_lift(t, ordered, weights)
+    return LabeledProfile(t=t, flavor="r", values=divide(nums, d * n ** t))
 
 
 def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
@@ -95,17 +101,18 @@ class TransitionMatrix:
 
 
 @lru_cache(maxsize=32)
-def transition_matrix(G: LabeledGraph, t: int) -> TransitionMatrix:
+def transition_matrix(G, t: int) -> TransitionMatrix:
     """Matrix F with F[i][j] = density of type i after composing G over a
     limit concentrated on type j.
 
-    Column j lifts the 0/1 indicator of orbit j, so its numerators are
-    integers; the labeled density of a type-i mask is divided once by
-    n^t * |orbit j| and scaled by |orbit i|.
+    Column j lifts the 0/1 indicator of orbit j over the ordered counts of
+    G times its profile's denominator d, in integers; the density of a
+    type-i mask is divided once by d * n^t * |orbit j|, times |orbit i|.
     """
     table = iso_table(t)
-    ordered = _outer_counts(G, t)
-    total = G.n ** t
+    n, lab = _base(G, t)
+    d, ordered = ordered_from_repetitive(lab, n)
+    total = d * n ** t
     cols = []
     for e in table.entries:
         nums = partition_lift(t, ordered, dict.fromkeys(e.orbit, 1))
@@ -129,15 +136,14 @@ class NestedProfile:
         return self.profile.entry(key)
 
 
-def stationary_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> NestedProfile:
+def stationary_profile(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> NestedProfile:
     """Unique fixed point of the nesting map of G in the simplex.
 
-    The budget bounds the ell-subsets of G, ell <= t, that the transition
-    matrix enumerates.  Raises DegenerateStationaryError when the
+    The budget bounds the ell-subsets of a graph G, ell <= t, that its
+    profile enumerates.  Raises DegenerateStationaryError when the
     fixed-point space does not pin down a single distribution.
     """
-    charge(subset_cost(G.n, t), "subsets", budget)
-    F = transition_matrix(G, t)
+    F = transition_matrix(_base(G, t, budget), t)
     shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(F.rows)]
     basis = solve_rational_kernel(shifted)
     if len(basis) != 1:
@@ -156,6 +162,6 @@ def stationary_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUD
     return NestedProfile(profile=profile, matrix=F)
 
 
-def nested_spectral(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> SpectralProfile:
+def nested_spectral(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> SpectralProfile:
     """Transform of the stationary profile of nested composition of G."""
     return fourier(stationary_profile(G, t, budget).profile)

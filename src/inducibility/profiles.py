@@ -418,12 +418,6 @@ def _ordered(ell: int, unordered: dict) -> dict:
     return out
 
 
-def subset_cost(n: int, t: int) -> int:
-    """Subsets that profiling n vertices to order t is charged: the most
-    ell-subsets that one order ell <= t enumerates."""
-    return max(math.comb(n, ell) for ell in range(1, t + 1))
-
-
 def ordered_counts(G: LabeledGraph, t: int) -> dict:
     """Ordered decorated pattern counts of G at every order 1..t, the input
     of partition_lift; orders above G.n have no patterns."""
@@ -483,7 +477,7 @@ def repetitive_cost(size: int, lifted: bool, t: int) -> tuple:
     """What labeled_repetitive charges a source of `size` vertices or
     types, and in what: C(size, ell) subsets at the largest order when it
     takes the partition lift, size^t assignments otherwise."""
-    return (subset_cost(size, t), "subsets") if lifted else (size ** t, "assignments")
+    return (max(math.comb(size, ell) for ell in range(1, t + 1)), "subsets") if lifted else (size ** t, "assignments")
 
 
 def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
@@ -556,30 +550,33 @@ def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     return LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
 
 
-def induced_from_repetitive(lab: LabeledProfile, s: int) -> ProfileVector:
-    """Induced t-profile of a loopless s-vertex graph from its labeled
-    repetitive t-profile; the inverse of repetitive_from_induced.
-
-    Grouping ell samples by the vertex each lands on, s^ell * r_ell is
-    N_ell, the counts of ell distinct vertices in order by pattern, plus
-    the partition lift of N_1 .. N_(ell-1) over the partitions with fewer
-    parts, r_ell being the marginal of r_t on the first ell positions.  So
-    N_1 .. N_t come out in turn, as integers times the one denominator of
-    r_t, and the induced profile is N_t over s(s-1)...(s-t+1).  Loops would
-    enter the lift, so the source must be loopless; the caller checks it.
-    """
+def ordered_from_repetitive(lab: LabeledProfile, s: int) -> tuple:
+    """The one denominator d of the labeled repetitive t-profile r_t of a
+    loopless s-vertex graph, and d times N_ell, ell = 1..min(s, t), its
+    nonzero counts of ell distinct vertices in order by pattern, as
+    ordered_counts gives them.  With r_ell the marginal of r_t on the first
+    ell positions, s^ell * r_ell is N_ell plus the partition lift of N_1 ..
+    N_(ell-1), so the N_ell come out in turn, in integers.  Loops would
+    enter the lift, so the source must be loopless; the caller checks it."""
     if lab.flavor != "r":
         raise ValueError("expected a labeled repetitive profile")
     t = lab.t
-    if s < t:
-        raise ValueError("graph has fewer vertices than the profile order")
     d, scaled = clear_denominators(lab.values)
     ordered: dict = {}
-    for ell in range(1, t + 1):
-        marginal = _marginal(scaled, t, ell)
-        lifted = partition_lift(ell, ordered)
+    for ell in range(1, min(s, t) + 1):
         scale = s ** ell
-        ordered[ell] = {(mask, 0): v * scale - low for mask, (v, low) in enumerate(zip(marginal, lifted))}
+        counts = (v * scale - low for v, low in zip(_marginal(scaled, t, ell), partition_lift(ell, ordered)))
+        ordered[ell] = {(mask, 0): c for mask, c in enumerate(counts) if c}
+    return d, ordered
+
+
+def induced_from_repetitive(lab: LabeledProfile, s: int) -> ProfileVector:
+    """Induced t-profile of a loopless s-vertex graph from its labeled
+    repetitive t-profile (ordered_from_repetitive's N_t over s!/(s-t)!)."""
+    d, ordered = ordered_from_repetitive(lab, s)
+    t = lab.t
+    if s < t:
+        raise ValueError("graph has fewer vertices than the profile order")
     table = iso_table(t)
     counts = [0] * len(table.entries)
     for (mask, _), c in ordered[t].items():
@@ -591,10 +588,10 @@ def _packed_adjacency(G: LabeledGraph):
     """n x ceil(n/8) uint8 adjacency rows: u ~ v is packed[u, v >> 3] >> (v & 7) & 1."""
     import numpy as np
     nbytes = (G.n + 7) // 8
-    raw = np.frombuffer(
-        b"".join(row.to_bytes(nbytes, "little") for row in G.rows), dtype=np.uint8
-    )
-    return raw.reshape(G.n, nbytes)
+    raw = memoryview(bytearray(G.n * nbytes))
+    for start, row in zip(range(0, len(raw), nbytes), G.rows):
+        raw[start:start + nbytes] = row.to_bytes(nbytes, "little")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(G.n, nbytes)
 
 
 def _packed_source(source):
@@ -635,8 +632,9 @@ def _sample_masks(packed, t, rng, count, pairs):
     continue one stream, so the draws are those of a single call, and the
     live arrays are O(_CHUNK * t) whatever `count` is.  A model keeps its
     draw order per batch of _BATCH samples, the types of the whole batch
-    first and then one uniform per slot, and compares each slot chunk by
-    chunk."""
+    first, drawn _CHUNK samples at a time into one int32 array (rng.choice
+    draws its uniforms in order), then one uniform per slot, compared chunk
+    by chunk."""
     import numpy as np
     if not isinstance(packed, tuple):
         n, nbytes = packed.shape
@@ -656,7 +654,9 @@ def _sample_masks(packed, t, rng, count, pairs):
         mass, wf = packed
         for done in range(0, count, _BATCH):
             batch = min(count - done, _BATCH)
-            types = rng.choice(len(mass), size=(batch, t), p=mass)
+            types = np.empty((batch, t), dtype=np.int32)
+            for lo in range(0, batch, _CHUNK):
+                types[lo:lo + _CHUNK] = rng.choice(len(mass), size=(min(batch - lo, _CHUNK), t), p=mass)
             mask = np.zeros(batch, dtype=np.int64)
             for slot, (i, j) in enumerate(pairs):
                 uniform = rng.random(batch)

@@ -14,7 +14,7 @@ import pytest
 
 import inducibility.cli as cli
 from inducibility import graphs, models
-from inducibility.catalog import reproduce_table
+from inducibility.catalog import catalog_rows, reproduce_table, run_row
 from inducibility.graphs import build_named, graph6_encode
 from inducibility.profiles import iso_table
 from inducibility.cli import EXIT_BROKEN_PIPE, run_command
@@ -239,7 +239,7 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
     # every construction is sized from its tree (dsl.plan) and refused
     # before any graph or dense model is built, with the message that the
     # built route gave
-    for t in (3, 4):
+    for t in (3, 4, 5):
         iso_table(t)
     monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
     assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
@@ -257,6 +257,9 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
         (profile + ["union(K65536:1)"], f"{math.comb(65536, 3)} subsets exceed the budget of 10"),
         (["nested-profile", "--t", "3", "--budget", "10", "compose(K200, K200)"],
          f"{math.comb(40000, 3)} subsets exceed the budget of 10"),
+        # a tensor base is charged its factors' sum, as repetitive_of charges it
+        (["nested-profile", "--t", "5", "--budget", "10", "tensor(paley(17), paley(13))"],
+         f"{math.comb(17, 5) + math.comb(13, 5)} subsets and assignments of 2 tensor factors exceed the budget of 10"),
         (["limit", "--t", "4", "--quantum", "P4", "--nested", "blowup(K10000, 2)"],
          f"{math.comb(20000, 4)} subsets exceed the budget of 1000000000"),
         (["profile", "--t", "3", "--budget", "1000", "union(cayley2(11; 7):9/10)"],
@@ -325,8 +328,9 @@ def test_tensor_of_a_large_graph_and_a_model_answers(capsys):
 
 
 def _refuse_everywhere(monkeypatch, original, what) -> int:
-    """Patch every binding of `original` in the package to raise; return
-    how many there were."""
+    """Patch every binding of `original` in the package to raise, a module
+    attribute or an entry of a module's dict (dsl's table of operators);
+    return how many there were."""
     def refuse(*args):
         raise AssertionError(what)
 
@@ -338,6 +342,10 @@ def _refuse_everywhere(monkeypatch, original, what) -> int:
             if value is original:
                 monkeypatch.setattr(module, attr, refuse)
                 patched += 1
+            elif isinstance(value, dict):
+                for key in [key for key, item in value.items() if item is original]:
+                    monkeypatch.setitem(value, key, refuse)
+                    patched += 1
     return patched
 
 
@@ -361,6 +369,35 @@ def test_exact_tensors_are_profiled_from_their_factors(capsys, monkeypatch):
     assert [_run_json(capsys, argv) for argv in commands] == before
     assert before[4]["values"] == before[6]["values"]
     assert (before[4]["values"][0]["num"], before[4]["values"][0]["den"]) == ("11411", "373248")
+
+
+def test_nested_tensor_bases_are_profiled_from_their_factors(capsys, monkeypatch):
+    # a nested base takes repetitive_of's route, so no exact tensor base is
+    # built; headline-02 is left out, as its factor compose(tensor(K3, K3),
+    # K2) is built whole like every compose
+    commands = [
+        ["nested-profile", "tensor(K3, K3)", "--t", "4"],
+        ["limit", "--t", "4", "--quantum", "P4", "--nested", "tensor(K3, K3)"],
+    ]
+    before = [_run_json(capsys, argv) for argv in commands]
+    assert _refuse_everywhere(monkeypatch, graphs.tensor, "a tensor of graphs was built") >= 3
+    assert [_run_json(capsys, argv) for argv in commands] == before
+    wanted = {f"headline-0{i}" for i in (1, 3, 4, 5, 6, 7)} | {"appendix5-17", "appendix5-18"}
+    rows = [row for which in ("headline", "appendix5") for row in catalog_rows(which) if row.row_id in wanted]
+    assert len(rows) == len(wanted) and all(run_row(row).passed for row in rows)
+
+
+def test_a_tensor_base_past_the_subset_budget_answers():
+    # tensor(paley(17), paley(13)) has C(221, 5) > 10^9 five-subsets, but
+    # its factors are charged C(17, 5) + C(13, 5); a fresh process, so no
+    # cache of an earlier test serves it
+    result = subprocess.run(
+        [sys.executable, "-m", "inducibility", "nested-profile", "--t", "5", "tensor(paley(17), paley(13))"],
+        env=_src_env(), cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    values = json.loads(result.stdout)["values"]
+    assert len(values) == 34 and sum(Fraction(int(v["num"]), int(v["den"])) for v in values) == 1
 
 
 def test_expression_errors_read_plainly(capsys):
@@ -594,6 +631,7 @@ def test_benchmark_oracle_checks_import():
         ["profile", "C5", "--t", "3", "--flavor", "labeled"],
         ["density", "--t", "4", "--quantum", "C4", "union(K2:1, K2:1)"],
         ["limit", "--t", "4", "--quantum", "P4", "--factors", "K4", "--nested", "tensor(K3, K3)"],
+        ["nested-profile", "--t", "4", "tensor(K3, K3)"],
     ],
 )
 def test_benchmark_tracing_runs(argv, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -244,8 +245,16 @@ def test_monte_carlo_monochromatic():
 def test_packed_adjacency_holds_one_bit_per_pair():
     n = 4096
     G = from_edges(n, [(0, n - 1), (17, 300), (300, 301)], loops=[5])
-    packed = _packed_adjacency(G)
+    _packed_adjacency(from_edges(1, []))  # numpy is imported on first use
+    tracemalloc.start()
+    try:
+        packed = _packed_adjacency(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert packed.shape == (n, n // 8) and packed.nbytes == n * n // 8
+    # the rows are written into one buffer, not joined from a copy of each
+    assert peak <= packed.nbytes * 1.01, peak
     for u, v in ((0, n - 1), (n - 1, 0), (17, 300), (300, 301), (5, 5), (0, 1), (17, 301)):
         assert (packed[u, v >> 3] >> (v & 7)) & 1 == (G.rows[u] >> v) & 1
 

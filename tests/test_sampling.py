@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inducibility import dsl, profiles
+from inducibility import dsl, masks, profiles
 from inducibility.graphs import build_named, from_edges
 from oracles import sample_masks
 
@@ -101,3 +101,21 @@ def test_sampling_memory_does_not_grow_with_the_samples():
     large, small = peak(2_000_000), peak(200_000)
     assert large < 2 << 20, large
     assert abs(large - small) < 1 << 19, (large, small)
+
+
+def test_a_model_batch_holds_its_types_once():
+    # a full batch of a model holds its int32 types, drawn a chunk at a
+    # time, the mask, and the uniforms of a slot and of the slot before
+    # while they are drawn; the masks are those of the whole-batch draw
+    model, t, batch = _model("union(bernoulli(1/3):1, bernoulli(1/2):2)", False), 4, profiles._BATCH
+    packed, pairs = profiles._packed_source(model), masks.pair_slots(t)
+    list(profiles._sample_masks(packed, t, np.random.default_rng(5), 10, pairs))  # lazy imports
+    tracemalloc.start()
+    try:
+        (got,) = profiles._sample_masks(packed, t, np.random.default_rng(5), batch, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= batch * (4 * t + 8 + 2 * 8) + (1 << 20), peak
+    (want,) = sample_masks(packed, t, np.random.default_rng(5), batch, pairs)
+    assert np.array_equal(got, want)

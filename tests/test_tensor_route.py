@@ -1,28 +1,34 @@
 """Exact tensors profiled from their factors against the built products:
 graphs.tensor or models.model_tensor, then labeled_repetitive or
-induced_profile.  Also the inverted partition lift against the subset
-counter, and the integer convolution against the Fraction transforms."""
+induced_profile, and as nested bases, the transition matrix and stationary
+profile of the built product.  Also the inverted partition lift against
+the subset counter, and the integer convolution against the Fraction
+transforms."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inducibility import dsl
-from inducibility.catalog import density, induced_of, repetitive_of
+from inducibility.catalog import _nested_base, density, induced_of, repetitive_of
 from inducibility.dsl import Node, evaluate, print_expr
 from inducibility.graphs import LabeledGraph, build_named, from_edges, graph6_encode, named_looped
 from inducibility.masks import pair_slots
+from inducibility.nesting import DegenerateStationaryError, stationary_profile, transition_matrix
 from inducibility.profiles import (
     QuantumGraph,
     induced_from_repetitive,
     induced_profile,
     iso_table,
     labeled_repetitive,
+    ordered_counts,
+    ordered_from_repetitive,
     quantum_density,
+    repetitive_cost,
 )
 from inducibility.spectral import convolve, fourier, inverse_fourier, spectral_product
 
@@ -123,6 +129,47 @@ def test_tensor_profiles_match_the_built_product(node, data):
             assert _error(lambda: induced_of(node, t)) == _error(lambda: induced_profile(product, t))
     finally:
         dsl.LOADED.clear()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, DegenerateStationaryError) as exc:
+        return type(exc), str(exc)
+
+
+def _leaf(op, *args):
+    return Node(op, args)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tensors(_GRAPHS), st.integers(2, 5))
+@example(Node("tensor", (_leaf("loopK", 2), _leaf("loopK", 3))), 5)
+@example(Node("tensor", (_leaf("K", 3), _leaf("loopK", 2), _leaf("cayley2", 1, 0))), 4)
+@example(Node("tensor", (_leaf("loopK", 1), _leaf("loopK", 1))), 3)
+@example(Node("tensor", (_leaf("K", 1), _leaf("K", 2))), 4)
+def test_nested_tensor_bases_match_the_built_product(node, t):
+    # a nested base from its factors against the built product: the ordered
+    # counts, the transition matrix and the stationary profile, or the same
+    # error.  An even number of looped factors makes a loopless product, and
+    # s < t leaves the orders above s without patterns
+    try:
+        product = evaluate(node)
+        t = max(u for u in range(2, t + 1) if repetitive_cost(product.n, True, u)[0] <= MAX_WORK)
+        base = _outcome(lambda: _nested_base(print_expr(node), t, False, "nested profiles need a graph"))
+    finally:
+        dsl.LOADED.clear()
+    if not product.is_loopless:
+        looped = (ValueError, "composition is defined over loopless outer graphs")
+        assert base == _outcome(lambda: transition_matrix(product, t)) == looped
+        assert _outcome(lambda: stationary_profile(product, t)) == looped
+        return
+    s, lab = base
+    d, ordered = ordered_from_repetitive(lab, s)
+    assert s == product.n
+    assert ordered == {ell: {k: c * d for k, c in cs.items()} for ell, cs in ordered_counts(product, t).items()}
+    assert transition_matrix(base, t).rows == transition_matrix(product, t).rows
+    assert _outcome(lambda: stationary_profile(base, t)) == _outcome(lambda: stationary_profile(product, t))
 
 
 @settings(max_examples=100)
