@@ -26,8 +26,6 @@ from .graphs import from_edges
 from .models import APPROX_TOL
 from .nesting import nested_spectral, stationary_profile
 from .profiles import (
-    DEFAULT_ASSIGNMENT_BUDGET,
-    DEFAULT_SUBSET_BUDGET,
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
@@ -150,7 +148,7 @@ def _factors(node, approx: bool) -> list:
     return [f for arg in node.args for f in _factors(arg, approx)]
 
 
-def _convolved(plans, t: int, budget: int) -> LabeledProfile:
+def _convolved(plans, t: int, budget: int | None) -> LabeledProfile:
     """Labeled repetitive t-profile of the product of planned factors, charged
     the sum of what labeled_repetitive charges each before any is built."""
     costs = [repetitive_cost(n, lifted, t) for n, _, lifted, _ in plans]
@@ -160,7 +158,7 @@ def _convolved(plans, t: int, budget: int) -> LabeledProfile:
     return convolve(*profiles) if len(profiles) > 1 else profiles[0]
 
 
-def repetitive_of(node, t: int, approx: bool = False, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
+def repetitive_of(node, t: int, approx: bool = False, budget: int | None = None) -> LabeledProfile:
     """Labeled repetitive t-profile of the limit of a construction; the
     dispatch that the CLI and the catalog share.
 
@@ -187,7 +185,7 @@ def _graph_plans(node, t: int, approx: bool, message: str, loop_message: str) ->
     return plans, math.prod(n for n, *_ in plans)
 
 
-def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
+def induced_of(node, t: int, approx: bool = False, budget: int | None = None) -> ProfileVector:
     """Induced t-profile of a graph construction, checked and charged from
     its plan before it is built.  An exact tensor is not built: the
     repetitive profile of its factors, charged as repetitive_of charges
@@ -203,49 +201,49 @@ def induced_of(node, t: int, approx: bool = False, budget: int = DEFAULT_SUBSET_
     return induced_from_repetitive(_convolved(plans, t, budget), s)
 
 
-def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple:
+def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int | None = None) -> tuple:
     """A nested base as (vertex count, labeled repetitive t-profile), profiled
     as repetitive_of profiles it: an exact tensor from its factors."""
     plans, s = _graph_plans(parse_expr(expr), t, approx, message, "composition is defined over loopless outer graphs")
     return s, _convolved(plans, t, budget)
 
 
-def density(Q: QuantumGraph, expr: str, approx: bool = False, **budget):
-    """Repetitive density of Q in the limit of a construction.  A `budget`
-    keyword bounds the work of each route; without it the route's default
-    applies."""
-    return quantum_density(Q, repetitive_of(parse_expr(expr), Q.t, approx, **budget).to_unlabeled())
+def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None = None):
+    """Repetitive density of Q in the limit of a construction.  The budget
+    bounds the work of each route; None means profiles.DEFAULT_BUDGET."""
+    return quantum_density(Q, repetitive_of(parse_expr(expr), Q.t, approx, budget).to_unlabeled())
 
 
-def nested_profile(expr: str, t: int, approx: bool = False, **budget):
+def nested_profile(expr: str, t: int, approx: bool = False, budget: int | None = None):
     """Stationary t-profile of the nested composition of a graph construction."""
-    base = _nested_base(expr, t, approx, "nested profiles need a loopless graph construction", **budget)
-    return stationary_profile(base, t, **budget).profile
+    base = _nested_base(expr, t, approx, "nested profiles need a loopless graph construction", budget)
+    return stationary_profile(base, t, budget).profile
 
 
-def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: bool = False, **budget):
+def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: bool = False,
+                  budget: int | None = None):
     """Repetitive density of Q in the tensor product of the limits of the
     comma-separated factors and of the nested composition of `nested`."""
     spectra = [
-        fourier(repetitive_of(node, Q.t, approx, **budget))
+        fourier(repetitive_of(node, Q.t, approx, budget))
         for node in (parse_factors(factors) if factors else ())
     ]
     if nested:
-        base = _nested_base(nested, Q.t, approx, "the nested factor must be a loopless graph", **budget)
-        spectra.append(nested_spectral(base, Q.t, **budget))
+        base = _nested_base(nested, Q.t, approx, "the nested factor must be a loopless graph", budget)
+        spectra.append(nested_spectral(base, Q.t, budget))
     return product_limit_density(Q, *spectra)
 
 
-def run_row(row: CatalogRow, **budget) -> BoundReport:
-    """Recompute one row; a `budget` keyword bounds the work of its routes."""
+def run_row(row: CatalogRow, budget: int | None = None) -> BoundReport:
+    """Recompute one row; the budget bounds the work of its routes."""
     start = time.perf_counter()
     Q = row.quantum()
     if row.mode == "model":
-        computed = density(Q, row.construction, row.approx, **budget)
+        computed = density(Q, row.construction, row.approx, budget)
     elif row.mode == "nested":
-        computed = quantum_density(Q, nested_profile(row.construction, row.t, row.approx, **budget))
+        computed = quantum_density(Q, nested_profile(row.construction, row.t, row.approx, budget))
     elif row.mode == "product":
-        computed = limit_density(Q, row.factors, row.nested_factor, row.approx, **budget)
+        computed = limit_density(Q, row.factors, row.nested_factor, row.approx, budget)
     else:
         raise ValueError(f"unknown row mode {row.mode!r}")
     expected = Fraction(row.expected)
@@ -268,10 +266,10 @@ def catalog_rows(which: str) -> tuple:
     return _ROWS[which]
 
 
-def reproduce_table(which: str, **budget) -> list:
+def reproduce_table(which: str, budget: int | None = None) -> list:
     """Recompute every row of a bundled table; failing rows are reported, not
-    raised.  A `budget` keyword reaches the routes of every row."""
-    return [run_row(row, **budget) for row in catalog_rows(which)]
+    raised.  The budget reaches the routes of every row."""
+    return [run_row(row, budget) for row in catalog_rows(which)]
 
 
 def _model_row(row_id, t, target, construction, expected, approx=False, edges=None, mode="model"):

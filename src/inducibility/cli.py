@@ -129,17 +129,12 @@ def _profile_payload(command, t, names, values, args, seed=None, stderr=None):
     return {"command": command, "t": t, "basis": list(names), "values": entries, "meta": _meta(args, seed)}
 
 
-def _budget_kwargs(args) -> dict:
-    return {} if args.budget is None else {"budget": args.budget}
-
-
 def _run_profile(args) -> dict:
     node = parse_expr(args.expr)
-    kw = _budget_kwargs(args)
     if args.flavor == "induced":
-        values = induced_of(node, args.t, args.approx, **kw).values
+        values = induced_of(node, args.t, args.approx, budget=args.budget).values
     else:
-        lab = repetitive_of(node, args.t, args.approx, **kw)
+        lab = repetitive_of(node, args.t, args.approx, budget=args.budget)
         if args.flavor == "repetitive":
             values = lab.to_unlabeled().values
         elif args.flavor == "labeled":
@@ -152,12 +147,12 @@ def _run_profile(args) -> dict:
 
 def _run_density(args) -> dict:
     Q = parse_quantum(args.quantum, args.t)
-    value = density(Q, args.expr, args.approx, **_budget_kwargs(args))
+    value = density(Q, args.expr, args.approx, budget=args.budget)
     return _profile_payload("density", args.t, (Q.describe(),), (value,), args)
 
 
 def _run_nested_profile(args) -> dict:
-    values = nested_profile(args.expr, args.t, args.approx, **_budget_kwargs(args)).values
+    values = nested_profile(args.expr, args.t, args.approx, budget=args.budget).values
     names = iso_table(args.t).type_names()
     return _profile_payload("nested-profile", args.t, names, values, args)
 
@@ -166,15 +161,15 @@ def _run_limit(args) -> dict:
     if not args.factors and not args.nested:
         raise ValueError("limit needs --factors, --nested, or both")
     Q = parse_quantum(args.quantum, args.t)
-    value = limit_density(Q, args.factors, args.nested, args.approx, **_budget_kwargs(args))
+    value = limit_density(Q, args.factors, args.nested, args.approx, budget=args.budget)
     return _profile_payload("limit", args.t, (Q.describe(),), (value,), args)
 
 
 def _run_estimate(args) -> dict:
     build = plan(parse_expr(args.expr), args.approx)[3]
     names = iso_table(args.t).type_names()  # refuses an order outside 2..5
-    charge_samples(args.samples, **_budget_kwargs(args))
-    est = monte_carlo_profile(build(), args.t, args.samples, args.seed, **_budget_kwargs(args))
+    charge_samples(args.samples, budget=args.budget)
+    est = monte_carlo_profile(build(), args.t, args.samples, args.seed, budget=args.budget)
     return _profile_payload(
         "estimate", args.t, names, est.values, args, seed=args.seed, stderr=est.stderr
     )
@@ -201,7 +196,7 @@ def _run_tables(args) -> dict:
             "comparison": r.row.comparison,
             "passed": r.passed,
         }
-        for r in reproduce_table(args.which, **_budget_kwargs(args))
+        for r in reproduce_table(args.which, budget=args.budget)
     ]
     return {"command": "tables", "which": args.which, "rows": rows, "meta": _meta(args)}
 

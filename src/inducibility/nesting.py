@@ -18,7 +18,6 @@ from .frozen import frozen
 from .graphs import LabeledGraph
 from .linalg import solve_rational_kernel
 from .profiles import (
-    DEFAULT_SUBSET_BUDGET,
     LabeledProfile,
     ProfileVector,
     clear_denominators,
@@ -35,7 +34,7 @@ class DegenerateStationaryError(RuntimeError):
     """The fixed-point space of the nesting map is not one dimensional."""
 
 
-def _base(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple:
+def _base(G, t: int, budget: int | None = None) -> tuple:
     """The input of the nesting calculus, a pair (n, labeled repetitive
     t-profile) as it is, or a loopless graph profiled against the budget."""
     if not isinstance(G, LabeledGraph):
@@ -136,7 +135,7 @@ class NestedProfile:
         return self.profile.entry(key)
 
 
-def stationary_profile(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> NestedProfile:
+def stationary_profile(G, t: int, budget: int | None = None) -> NestedProfile:
     """Unique fixed point of the nesting map of G in the simplex.
 
     The budget bounds the ell-subsets of a graph G, ell <= t, that its
@@ -162,6 +161,6 @@ def stationary_profile(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> Nested
     return NestedProfile(profile=profile, matrix=F)
 
 
-def nested_spectral(G, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> SpectralProfile:
+def nested_spectral(G, t: int, budget: int | None = None) -> SpectralProfile:
     """Transform of the stationary profile of nested composition of G."""
     return fourier(stationary_profile(G, t, budget).profile)

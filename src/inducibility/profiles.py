@@ -33,8 +33,7 @@ from .models import APPROX_TOL, StepModel, is_exact
 
 MIN_ORDER = 2
 MAX_ORDER = 5
-DEFAULT_SUBSET_BUDGET = 10 ** 9
-DEFAULT_ASSIGNMENT_BUDGET = 10 ** 10
+DEFAULT_BUDGET = 10 ** 9
 MC_SHARDS = 32
 
 TYPE_NAMES_4 = ("K4", "A4", "T4", "S4", "M4", "C4", "Q4", "V4", "D4", "E4", "P4")
@@ -44,8 +43,10 @@ class BudgetError(RuntimeError):
     """Exact enumeration would exceed the configured budget."""
 
 
-def charge(cost: int, unit: str, budget: int) -> None:
-    """Refuse `cost` units of work above the budget: the one budget check."""
+def charge(cost: int, unit: str, budget: int | None = None) -> None:
+    """Refuse `cost` units of work above the budget: the one budget check,
+    and the one place where no budget (None) means DEFAULT_BUDGET."""
+    budget = DEFAULT_BUDGET if budget is None else budget
     if cost > budget:
         hint = "; consider monte_carlo_profile" if unit == "assignments" else ""
         raise BudgetError(f"{cost} {unit} exceed the budget of {budget}{hint}")
@@ -342,7 +343,7 @@ def _decorated_subset_counts(G: LabeledGraph, ell: int) -> dict:
     return {(k & low_mask, k >> m): c for k, c in enumerate(counts) if c}
 
 
-def induced_profile(G: LabeledGraph, t: int, budget: int = DEFAULT_SUBSET_BUDGET) -> ProfileVector:
+def induced_profile(G: LabeledGraph, t: int, budget: int | None = None) -> ProfileVector:
     """Exact induced t-profile of a loopless graph on at least t vertices."""
     _check_order(t)
     if not G.is_loopless:
@@ -480,7 +481,7 @@ def repetitive_cost(size: int, lifted: bool, t: int) -> tuple:
     return (max(math.comb(size, ell) for ell in range(1, t + 1)), "subsets") if lifted else (size ** t, "assignments")
 
 
-def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
+def labeled_repetitive(source, t: int, budget: int | None = None) -> LabeledProfile:
     """Labeled repetitive t-profile of a graph's blow-up limit or of a step
     model; the one place where a route is chosen.
 
@@ -504,12 +505,12 @@ def labeled_repetitive(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) 
     return LabeledProfile(t=t, flavor="r", values=divide(numerators, denominator))
 
 
-def labeled_repetitive_profile(M: StepModel, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> LabeledProfile:
+def labeled_repetitive_profile(M: StepModel, t: int, budget: int | None = None) -> LabeledProfile:
     """Labeled repetitive t-profile of a step model, by labeled_repetitive."""
     return labeled_repetitive(M, t, budget)
 
 
-def repetitive_profile(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> ProfileVector:
+def repetitive_profile(source, t: int, budget: int | None = None) -> ProfileVector:
     """Exact repetitive t-profile of a graph's blow-up limit or a step model."""
     return labeled_repetitive(source, t, budget).to_unlabeled()
 
@@ -633,8 +634,8 @@ def _sample_masks(packed, t, rng, count, pairs):
     live arrays are O(_CHUNK * t) whatever `count` is.  A model keeps its
     draw order per batch of _BATCH samples, the types of the whole batch
     first, drawn _CHUNK samples at a time into one int32 array (rng.choice
-    draws its uniforms in order), then one uniform per slot, compared chunk
-    by chunk."""
+    draws its uniforms in order), then one uniform per slot, drawn into one
+    buffer per batch and compared chunk by chunk."""
     import numpy as np
     if not isinstance(packed, tuple):
         n, nbytes = packed.shape
@@ -657,9 +658,9 @@ def _sample_masks(packed, t, rng, count, pairs):
             types = np.empty((batch, t), dtype=np.int32)
             for lo in range(0, batch, _CHUNK):
                 types[lo:lo + _CHUNK] = rng.choice(len(mass), size=(min(batch - lo, _CHUNK), t), p=mass)
-            mask = np.zeros(batch, dtype=np.int64)
+            mask, uniform = np.zeros(batch, dtype=np.int64), np.empty(batch)
             for slot, (i, j) in enumerate(pairs):
-                uniform = rng.random(batch)
+                rng.random(out=uniform)
                 for lo in range(0, batch, _CHUNK):
                     part = slice(lo, lo + _CHUNK)
                     hit = uniform[part] < wf[types[part, i], types[part, j]]
@@ -667,14 +668,14 @@ def _sample_masks(packed, t, rng, count, pairs):
             yield mask
 
 
-def charge_samples(samples: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> None:
+def charge_samples(samples: int, budget: int | None = None) -> None:
     """Refuse fewer than one sample, then more samples than the budget."""
     if samples < 1:
         raise ValueError("need at least one sample")
     charge(samples, "samples", budget)
 
 
-def _sampled_masks(source, t: int, samples: int, seed: int, budget: int):
+def _sampled_masks(source, t: int, samples: int, seed: int, budget: int | None = None):
     """Yield the edge-slot mask batches of `samples` seeded samples of t
     vertices, in MC_SHARDS shards whose seeds are spawned from `seed`, so
     the result does not depend on how shards are scheduled.  The checks run
@@ -693,7 +694,7 @@ def _sampled_masks(source, t: int, samples: int, seed: int, budget: int):
 
 
 def monte_carlo_profile(source, t: int, samples: int, seed: int,
-                        budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> EstimatedProfile:
+                        budget: int | None = None) -> EstimatedProfile:
     """Estimate the repetitive t-profile of a graph or model by seeded
     sampling.  The budget bounds the samples."""
     import numpy as np
@@ -724,7 +725,7 @@ def monte_carlo_monochromatic(source, t: int, samples: int, seed: int):
         raise ValueError("monochromatic order must be in 2..8")
     full = (1 << masks.slot_count(t)) - 1
     hits = 0
-    for mask in _sampled_masks(source, t, samples, seed, DEFAULT_ASSIGNMENT_BUDGET):
+    for mask in _sampled_masks(source, t, samples, seed):
         hits += int(np.count_nonzero(mask == full)) + int(np.count_nonzero(mask == 0))
     est = hits / samples
     err = math.sqrt(est * (1.0 - est) / samples)

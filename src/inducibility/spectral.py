@@ -14,7 +14,6 @@ from . import masks
 from .frozen import frozen
 from .models import APPROX_TOL, is_exact
 from .profiles import (
-    DEFAULT_ASSIGNMENT_BUDGET,
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
@@ -149,7 +148,7 @@ def convolve(*profiles) -> LabeledProfile:
     return LabeledProfile(t=labs[0].t, flavor="r", values=values)
 
 
-def model_spectrum(source, t: int, budget: int = DEFAULT_ASSIGNMENT_BUDGET) -> SpectralProfile:
+def model_spectrum(source, t: int, budget: int | None = None) -> SpectralProfile:
     """Spectrum of a graph's blow-up limit or of a step model."""
     return fourier(labeled_repetitive(source, t, budget))
 

@@ -120,8 +120,8 @@ def test_tables_pass_and_fail_codes(capsys, monkeypatch):
 
     real = cli.reproduce_table
 
-    def broken(which):
-        reports = real(which)
+    def broken(which, budget=None):
+        reports = real(which, budget=budget)
         fake = []
         for r in reports:
             fake.append(r.__class__(row=r.row, computed=r.computed,
@@ -265,16 +265,44 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
         (["profile", "--t", "3", "--budget", "1000", "union(cayley2(11; 7):9/10)"],
          f"{math.comb(2048, 3)} subsets exceed the budget of 1000"),
         (["limit", "--t", "4", "--quantum", "K4", "--factors", "blowup(complement(cayley2(11; 4)), 23)"],
-         f"{math.comb(47104, 4)} subsets exceed the budget of 10000000000"),
+         f"{math.comb(47104, 4)} subsets exceed the budget of 1000000000"),
         # a looped nested base is refused from its plan, before the budget
         (["nested-profile", "--t", "3", "--budget", "100000000000000", "complement(K30000)"], looped),
         (["limit", "--t", "4", "--quantum", "P4", "--nested", "complement(K20000)"], looped),
         (["limit", "--t", "2", "--quantum", "K2", "--nested", "loopK30000"], looped),
         (["nested-profile", "--t", "3", "--budget", "1", "loopK3"], looped),
+        # one default budget for every route: 10^9, in subsets, assignments
+        # or samples, whatever the flavor
+        (["profile", "--t", "3", "union(cayley2(10; 1):1, bernoulli(1/2):1)"],
+         "1076890625 assignments exceed the budget of 1000000000; consider monte_carlo_profile"),
+        (["profile", "--t", "2", "union(K65536:1)"], "2147450880 subsets exceed the budget of 1000000000"),
+        (["profile", "--t", "4", "--flavor", "induced", "K400"], "1050739900 subsets exceed the budget of 1000000000"),
+        (["profile", "--t", "4", "--flavor", "repetitive", "K400"],
+         "1050739900 subsets exceed the budget of 1000000000"),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
         assert time.perf_counter() - start < 1, argv
+
+
+def test_every_budget_defaults_to_none_and_charge_decides():
+    # no route carries its own default: None reaches charge, which reads
+    # profiles.DEFAULT_BUDGET, so every route refuses the same cost
+    import inspect
+    import inducibility
+    from inducibility import catalog, nesting, profiles, spectral
+
+    functions = {getattr(inducibility, name) for name in inducibility.__all__}
+    for module in (profiles, spectral, nesting, catalog):
+        functions |= {f for name, f in vars(module).items() if not name.startswith("_")}
+    budgeted = {f.__name__: inspect.signature(f).parameters["budget"].default
+                for f in functions if inspect.isfunction(f) and "budget" in inspect.signature(f).parameters}
+    assert {"induced_profile", "labeled_repetitive", "monte_carlo_profile", "model_spectrum", "stationary_profile",
+            "repetitive_of", "induced_of", "reproduce_table", "density", "limit_density", "charge"} <= set(budgeted)
+    assert all(default is None for default in budgeted.values()), budgeted
+    profiles.charge(10 ** 9, "subsets")
+    with pytest.raises(profiles.BudgetError, match="^1000000001 subsets exceed the budget of 1000000000$"):
+        profiles.charge(10 ** 9 + 1, "subsets")
 
 
 def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
