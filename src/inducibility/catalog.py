@@ -9,8 +9,11 @@ profile, nesting and spectral pipelines and compares.  The row modes
 model, nested and product are the functions density, nested_profile and
 limit_density, which the CLI's density, nested-profile and limit commands
 call too.  Under each of them, and under the CLI's profile, repetitive_of
-and induced_of take an expression node to its profile, a nested base
-included, profiling an exact tensor from its factors without building it.
+and induced_of take an expression node to its dsl.plan, a nested base
+included, and that plan to its profile through two helpers: _charge
+charges plans as one product, the sum of what labeled_repetitive charges
+each factor, and _profile convolves a plan's factors' profiles, so an exact
+tensor is never built.
 """
 
 from __future__ import annotations
@@ -140,72 +143,60 @@ class BoundReport:
         return self.row.row_id
 
 
-def _factors(node, approx: bool) -> list:
-    """The factors of an exact tensor, nested tensors flattened, left to
-    right; any other construction, or any approximate one, alone."""
-    if approx or node.op != "tensor":
-        return [node]
-    return [f for arg in node.args for f in _factors(arg, approx)]
-
-
-def _convolved(plans, t: int, budget: int | None) -> LabeledProfile:
-    """Labeled repetitive t-profile of the product of planned factors, charged
-    the sum of what labeled_repetitive charges each before any is built."""
-    costs = [repetitive_cost(n, lifted, t) for n, _, lifted, _ in plans]
+def _charge(plans, t: int, budget: int | None) -> None:
+    """Charge plans as one product: the sum of what labeled_repetitive charges their factors."""
+    costs = [repetitive_cost(f.size, f.lifted, t) for p in plans for f in p.factors or (p,)]
     unit = costs[0][1] if len(costs) == 1 else f"subsets and assignments of {len(costs)} tensor factors"
     charge(sum(c for c, _ in costs), unit, budget)
-    profiles = [labeled_repetitive(build(), t, budget) for *_, build in plans]
+
+
+def _profile(p, t: int, budget: int | None) -> LabeledProfile:
+    """Labeled repetitive t-profile of a plan: the xor convolution of its factors' profiles."""
+    profiles = [labeled_repetitive(f.build(), t, budget) for f in p.factors or (p,)]
     return convolve(*profiles) if len(profiles) > 1 else profiles[0]
 
 
 def repetitive_of(node, t: int, approx: bool = False, budget: int | None = None) -> LabeledProfile:
     """Labeled repetitive t-profile of the limit of a construction; the
-    dispatch that the CLI and the catalog share.
-
-    An exact tensor is the xor convolution of its factors' profiles, so the
-    product is never built.  Each factor is planned and charged what
-    labeled_repetitive charges it, a tensor's factors together, before any
-    is built.  Every other construction, and every approximate one, is
-    built and profiled whole."""
-    plans = [plan(f, approx) for f in _factors(node, approx)]
+    dispatch that the CLI and the catalog share."""
+    p = plan(node, approx, profiled=True)
     iso_table(t)  # refuses an order outside 2..5 before any charge
-    return _convolved(plans, t, budget)
+    _charge([p], t, budget)
+    return _profile(p, t, budget)
 
 
-def _graph_plans(node, t: int, approx: bool, message: str, loop_message: str) -> tuple:
-    """The plans of a graph construction's factors, as repetitive_of takes
-    them, and its vertex count; a model or loops get the caller's message."""
-    plans = [plan(f, approx) for f in _factors(node, approx)]
+def _loopless(node, t: int, approx: bool, message: str,
+              loop_message: str = "composition is defined over loopless outer graphs"):
+    """The plan of a loopless graph construction; a model or loops get the caller's message."""
+    p = plan(node, approx, profiled=True)
     iso_table(t)
-    if any(looped is None for _, looped, _, _ in plans):
+    if p.looped is None:
         raise ValueError(message)
-    # a product vertex has a loop iff an odd number of its coordinates do
-    if sum(looped for _, looped, _, _ in plans) % 2:
+    if p.looped:
         raise ValueError(loop_message)
-    return plans, math.prod(n for n, *_ in plans)
+    return p
 
 
 def induced_of(node, t: int, approx: bool = False, budget: int | None = None) -> ProfileVector:
     """Induced t-profile of a graph construction, checked and charged from
-    its plan before it is built.  An exact tensor is not built: the
-    repetitive profile of its factors, charged as repetitive_of charges
-    them, is lifted back by induced_from_repetitive.  Every other
-    construction is counted by its t-subsets."""
-    plans, s = _graph_plans(node, t, approx, "induced profiles need a graph construction",
-                            "induced profiles are defined for loopless graphs")
-    if s < t:
+    its plan before it is built: an exact tensor's repetitive profile lifted
+    back by induced_from_repetitive, any other graph's t-subsets counted."""
+    p = _loopless(node, t, approx, "induced profiles need a graph construction",
+                  "induced profiles are defined for loopless graphs")
+    if p.size < t:
         raise ValueError("graph has fewer vertices than the profile order")
-    if len(plans) == 1:
-        charge(math.comb(s, t), "subsets", budget)
-        return induced_profile(plans[0][3](), t, budget)
-    return induced_from_repetitive(_convolved(plans, t, budget), s)
+    if not p.factors:
+        charge(math.comb(p.size, t), "subsets", budget)
+        return induced_profile(p.build(), t, budget)
+    _charge([p], t, budget)
+    return induced_from_repetitive(_profile(p, t, budget), p.size)
 
 
 def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int | None = None) -> tuple:
-    """A nested base as (vertex count, labeled repetitive t-profile), profiled
-    as repetitive_of profiles it: an exact tensor from its factors."""
-    plans, s = _graph_plans(parse_expr(expr), t, approx, message, "composition is defined over loopless outer graphs")
-    return s, _convolved(plans, t, budget)
+    """A nested base as (vertex count, labeled repetitive t-profile), as repetitive_of profiles it."""
+    p = _loopless(parse_expr(expr), t, approx, message)
+    _charge([p], t, budget)
+    return p.size, _profile(p, t, budget)
 
 
 def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None = None):
@@ -217,20 +208,20 @@ def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None
 def nested_profile(expr: str, t: int, approx: bool = False, budget: int | None = None):
     """Stationary t-profile of the nested composition of a graph construction."""
     base = _nested_base(expr, t, approx, "nested profiles need a loopless graph construction", budget)
-    return stationary_profile(base, t, budget).profile
+    return stationary_profile(base, t).profile
 
 
 def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: bool = False,
                   budget: int | None = None):
     """Repetitive density of Q in the tensor product of the limits of the
-    comma-separated factors and of the nested composition of `nested`."""
-    spectra = [
-        fourier(repetitive_of(node, Q.t, approx, budget))
-        for node in (parse_factors(factors) if factors else ())
-    ]
-    if nested:
-        base = _nested_base(nested, Q.t, approx, "the nested factor must be a loopless graph", budget)
-        spectra.append(nested_spectral(base, Q.t, budget))
+    comma-separated factors and of the nested composition of `nested`,
+    every input charged as one factor of one product before any is built."""
+    plans = [plan(node, approx, profiled=True) for node in (parse_factors(factors) if factors else ())]
+    message = "the nested factor must be a loopless graph"
+    base = [_loopless(parse_expr(nested), Q.t, approx, message)] if nested else []
+    _charge(plans + base, Q.t, budget)
+    spectra = [fourier(_profile(p, Q.t, budget)) for p in plans]
+    spectra += [nested_spectral((p.size, _profile(p, Q.t, budget)), Q.t) for p in base]
     return product_limit_density(Q, *spectra)
 
 

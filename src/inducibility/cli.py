@@ -166,7 +166,7 @@ def _run_limit(args) -> dict:
 
 
 def _run_estimate(args) -> dict:
-    build = plan(parse_expr(args.expr), args.approx)[3]
+    build = plan(parse_expr(args.expr), args.approx).build
     names = iso_table(args.t).type_names()  # refuses an order outside 2..5
     charge_samples(args.samples, budget=args.budget)
     est = monte_carlo_profile(build(), args.t, args.samples, args.seed, budget=args.budget)
@@ -206,7 +206,7 @@ def _run_convert(args) -> dict:
         g = graph6_decode(args.graph6)
         text = args.graph6
     else:
-        n, looped, _, build = plan(parse_expr(args.encode), args.approx)
+        n, looped, _, build, _ = plan(parse_expr(args.encode), args.approx)
         if looped is None:
             raise ValueError("convert --encode needs a graph construction")
         check_graph6(n, looped)

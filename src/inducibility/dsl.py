@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -270,62 +271,69 @@ _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
 OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
 
 
-def plan(node, approx: bool = False) -> tuple:
-    """(size, looped, lifted, build) of a construction, from one walk of
-    its tree: the vertex or type count; whether a graph is looped (all or
-    none), None for a model; whether labeled_repetitive takes the partition
-    lift; a no-argument build that checks nothing again.  Every fault of the
-    tree is raised here; only a load leaf is read and decoded, for its order."""
+Plan = namedtuple("Plan", "size looped lifted build factors", defaults=((),))
+
+
+def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
+    """Plan of a construction, from one walk of its tree: the vertex or type
+    count; whether a graph is looped (all or none), None for a model;
+    whether labeled_repetitive takes the partition lift; a no-argument build
+    that checks nothing again; and the plans of an exact tensor's factors,
+    flattened, when it is `profiled` from them.  The vertex cap bounds what
+    is built, so such a tensor is not capped.  Every fault of the tree is
+    raised here; only a load leaf is read and decoded, for its order."""
     op, args = node.op, node.args
     if op not in OPERATORS:
-        return named_order(op, args), named_looped(op, args), True, lambda: build_named(op, args)
+        return Plan(named_order(op, args), named_looped(op, args), True, lambda: build_named(op, args))
     if op == "load":
         data = LOADED[args[0]] if args[0] in LOADED else Path(args[0]).read_bytes()
         G = graph6_decode(data.decode("ascii").strip())
-        return G.n, not G.is_loopless, True, lambda: G
+        return Plan(G.n, not G.is_loopless, True, lambda: G)
     if op in ("bernoulli", "bipartite"):
         p = float(args[0]) if approx else args[0]
         if not 0 <= p <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
         k, model = (1, bernoulli) if op == "bernoulli" else (2, bipartite_random)
-        return k, None, not approx and p in (0, 1), lambda: model(p)
+        return Plan(k, None, not approx and p in (0, 1), lambda: model(p))
     if op == "union":  # a lifted part of n types has masses weight/n before normalizing
         parts = [plan(e, approx) for e, _ in args]
         weights = [float(w) if approx else w for _, w in args]
         if any(w <= 0 for w in weights):
             raise ValueError("union weights must be positive")
-        lifted = all(lift for _, _, lift, _ in parts) and len(
-            {Fraction(w) / n for (n, *_), w in zip(parts, weights)}) == 1
-        return sum(n for n, *_ in parts), None, not approx and lifted, lambda: model_union(
-            [(_as_model(build()), w) for (*_, build), w in zip(parts, weights)])
+        lifted = all(p.lifted for p in parts) and len({Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
+        return Plan(sum(p.size for p in parts), None, not approx and lifted, lambda: model_union(
+            [(_as_model(p.build()), w) for p, w in zip(parts, weights)]))
     if op == "complement":
-        n, looped, lifted, inner = plan(args[0], approx)
+        n, looped, lifted, inner, _ = plan(args[0], approx)
         flip = model_complement if looped is None else complement
-        return n, None if looped is None else not looped, lifted, lambda: flip(inner())
+        return Plan(n, None if looped is None else not looped, lifted, lambda: flip(inner()))
+    profiled = profiled and op == "tensor" and not approx
     # blowup's count is a factor of its size, and builds as itself
-    plans = [plan(a, approx) if isinstance(a, Node) else (a, False, True, lambda a=a: a) for a in args]
-    size = math.prod(n for n, *_ in plans)
-    if any(looped is None for _, looped, _, _ in plans):
+    plans = [plan(a, approx, profiled) if isinstance(a, Node) else Plan(a, False, True, lambda a=a: a) for a in args]
+    size = math.prod(p.size for p in plans)
+    factors = tuple(f for p in plans for f in p.factors or (p,)) if profiled else ()
+    if any(p.looped is None for p in plans):
         if op != "tensor":
             raise ExprError(f"{op} applies to graphs only", node.span[0])
-        return size, None, all(lift for _, _, lift, _ in plans), lambda: reduce(
-            model_tensor, [_as_model(build()) for *_, build in plans])
+        return Plan(size, None, all(p.lifted for p in plans), lambda: reduce(
+            model_tensor, [_as_model(p.build()) for p in plans]), factors)
     try:
-        check_order(size)
+        if not profiled:
+            check_order(size)
     except ValueError as exc:
         raise ExprError(str(exc), node.span[0]) from None
-    if op == "compose" and any(looped for _, looped, _, _ in plans):
+    if op == "compose" and any(p.looped for p in plans):
         raise ValueError("composition is defined for loopless graphs")
     # blowup and compose are loopless; a tensor vertex is looped iff an odd number of coordinates are
-    looped = op == "tensor" and sum(looped for _, looped, _, _ in plans) % 2 == 1
-    return size, looped, True, lambda: _GRAPH_OPERATORS[op](*(build() for *_, build in plans))
+    looped = op == "tensor" and sum(p.looped for p in plans) % 2 == 1
+    return Plan(size, looped, True, lambda: _GRAPH_OPERATORS[op](*(p.build() for p in plans)), factors)
 
 
 def evaluate(node, approx: bool = False):
     """Build the graph or step model a construction denotes, once plan has
     checked the whole tree: graphs stay graphs under graph operators; a
     union or a random leaf makes a step model, graphs entering as limits."""
-    return plan(node, approx)[3]()
+    return plan(node, approx).build()
 
 
 _QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]*[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")

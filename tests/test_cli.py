@@ -239,12 +239,13 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
     # every construction is sized from its tree (dsl.plan) and refused
     # before any graph or dense model is built, with the message that the
     # built route gave
-    for t in (3, 4, 5):
+    for t in (2, 3, 4, 5):
         iso_table(t)
     monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
     assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
     assert _refuse_everywhere(monkeypatch, models.model_union, "a union was built")
     capped = "construction has 131072 vertices, above the limit of 65536; use a step-model or spectral route instead"
+    capped90000 = capped.replace("131072", "90000")
     looped = "composition is defined over loopless outer graphs"
     profile = ["profile", "--t", "3", "--budget", "10"]
     for argv, message in (
@@ -279,6 +280,22 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
         (["profile", "--t", "4", "--flavor", "induced", "K400"], "1050739900 subsets exceed the budget of 1000000000"),
         (["profile", "--t", "4", "--flavor", "repetitive", "K400"],
          "1050739900 subsets exceed the budget of 1000000000"),
+        # limit plans every --factors input and the --nested base, and
+        # charges their sum as one product; one input keeps its own unit
+        (["limit", "--t", "4", "--quantum", "K4", "--factors", "K330, K330, K330"],
+         f"{3 * math.comb(330, 4)} subsets and assignments of 3 tensor factors exceed the budget of 1000000000"),
+        (["limit", "--t", "4", "--quantum", "K4", "--factors", "K30, K30, K30", "--budget", "30000"],
+         "82215 subsets and assignments of 3 tensor factors exceed the budget of 30000"),
+        (["limit", "--t", "4", "--quantum", "K4", "--factors", "K30", "--nested", "K30", "--budget", "30000"],
+         "54810 subsets and assignments of 2 tensor factors exceed the budget of 30000"),
+        (["limit", "--t", "4", "--quantum", "P4", "--nested", "C5", "--budget", "1"],
+         "10 subsets exceed the budget of 1"),
+        # an exact tensor profiled from its factors is not capped; one that
+        # is built, under another operator, is, at the tensor's column
+        (profile + ["tensor(tensor(K300, K300), K2)"],
+         "8910202 subsets and assignments of 3 tensor factors exceed the budget of 10"),
+        (profile + ["compose(tensor(K300, K300), K2)"], f"{capped90000} (at column 9)"),
+        (profile + ["complement(tensor(K300, K300))"], f"{capped90000} (at column 12)"),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
@@ -312,6 +329,7 @@ def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
     monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
     assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph was made a dense model")
     assert _refuse_everywhere(monkeypatch, models.model_union, "a union was built")
+    capped = "construction has 90000 vertices, above the limit of 65536; use a step-model or spectral route instead"
     for argv, message in (
         (["estimate", "--t", "3", "--samples", "100000000000", "--budget", "10", "--seed", "1", "K65536"],
          "100000000000 samples exceed the budget of 10"),
@@ -319,6 +337,9 @@ def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
         (["convert", "--encode", "K65536"], "graph6 support is limited to 62 vertices"),
         (["convert", "--encode", "union(K65536:1)"], "convert --encode needs a graph construction"),
         (["convert", "--encode", "loopK3"], "graph6 encodes loopless graphs only"),
+        # an exact tensor that is built is capped, before it is built
+        (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "tensor(K300, K300)"], f"{capped} (at column 1)"),
+        (["convert", "--encode", "tensor(K300, K300)"], f"{capped} (at column 1)"),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
