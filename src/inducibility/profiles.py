@@ -277,18 +277,20 @@ def quantum_density(Q: QuantumGraph, prof: ProfileVector):
 
 
 def _decorated_subset_counts(G: LabeledGraph, ell: int) -> dict:
-    """Counts of ell-subsets by (edge mask, loop bits), vertices in
-    increasing order.
+    """Counts of ell-subsets by (edge mask, loop bits), exact on orbits: a
+    subset's last two vertices may be counted in either order.
 
-    The (ell-1)-subsets are enumerated in increasing order.  The vertices
-    above the chosen ones stay in classes by their adjacency to them, split
-    first by the loop set, and the last vertex is counted a class at a time
-    by popcount.  A class is (members, code): bit i of code is adjacency to
-    the i-th chosen vertex and bit ell is the loop.
-    """
+    The (ell-2)-subsets are enumerated in increasing order, the vertices
+    above them kept in classes (members, code) by adjacency to them (bit i
+    of code) and by loop (bit ell).  The last two vertices are counted by
+    popcount once per pair of classes i <= j, class i's at position ell-2."""
     n, rows = G.n, G.rows
+    looped = sum(1 << v for v in range(n) if (rows[v] >> v) & 1)
+    start = [(members, code) for members, code in ((((1 << n) - 1) ^ looped, 0), (looped, 1 << ell)) if members]
+    if ell == 1:
+        return {(0, code >> ell): members.bit_count() for members, code in start}
     m = masks.slot_count(ell)
-    slot = masks.slot_of(ell) if ell >= 2 else {}
+    slot = masks.slot_of(ell)
     # key[d][code]: the slots and loop bit that the d-th vertex adds to a
     # pattern, packed as mask | loop bits << m
     key = [
@@ -300,45 +302,42 @@ def _decorated_subset_counts(G: LabeledGraph, ell: int) -> dict:
     ]
     last = key[ell - 1]
     counts = [0] * (1 << (m + ell))
-    full = (1 << n) - 1
-    looped = sum(1 << v for v in range(n) if (rows[v] >> v) & 1)
-    start = [(members, code) for members, code in ((full ^ looped, 0), (looped, 1 << ell)) if members]
 
     def descend(depth: int, pattern: int, classes: list) -> None:
         bit = 1 << depth
-        here = key[depth]
-        # when the next vertex is the last, its classes are counted by popcount
-        fused = depth + 2 == ell
-        targets = [(rest, last[code | bit], last[code]) for rest, code in classes] if fused else ()
-        for members, code in classes:
-            base = pattern | here[code]
+        paired = depth + 2 == ell  # the next two vertices are the last
+        for i, (members, code) in enumerate(classes):
+            base = pattern | key[depth][code]
+            member_rows, inside = [], 0
             while members:
                 low = members & -members
                 members ^= low
-                above = full ^ ((low << 1) - 1)
                 row = rows[low.bit_length() - 1]
-                if fused:
-                    for rest, adjacent, apart in targets:
-                        rest &= above
-                        hit = rest & row
-                        counts[base | adjacent] += hit.bit_count()
-                        counts[base | apart] += (rest ^ hit).bit_count()
+                if paired:
+                    inside += (members & row).bit_count()
+                    member_rows.append(row)
                     continue
                 refined = []
                 for rest, code2 in classes:
-                    rest &= above
+                    rest &= -(low << 1)  # the members above this vertex
                     hit = rest & row
                     if hit:
                         refined.append((hit, code2 | bit))
                     if rest ^ hit:
                         refined.append((rest ^ hit, code2))
                 descend(depth + 1, base, refined)
+            if paired:
+                size = len(member_rows)
+                counts[base | last[code | bit]] += inside
+                counts[base | last[code]] += size * (size - 1) // 2 - inside
+                for rest, code2 in classes[i + 1:]:
+                    hit = 0
+                    for row in member_rows:
+                        hit += (rest & row).bit_count()
+                    counts[base | last[code2 | bit]] += hit
+                    counts[base | last[code2]] += size * rest.bit_count() - hit
 
-    if ell == 1:
-        for members, code in start:
-            counts[last[code]] += members.bit_count()
-    else:
-        descend(0, 0, start)
+    descend(0, 0, start)
     low_mask = (1 << m) - 1
     return {(k & low_mask, k >> m): c for k, c in enumerate(counts) if c}
 
@@ -409,10 +408,11 @@ def _ordered(ell: int, unordered: dict) -> dict:
     the number of orderings of one subset that produce it."""
     out: dict = {}
     fact = math.factorial(ell)
+    index, orbits = masks.orbit_index(ell)
     for pattern in unordered:
         if pattern in out:
             continue
-        members = masks.orbit(ell, *pattern)
+        members = masks.orbit(ell, *pattern) if pattern[1] else [(image, 0) for image in orbits[index[pattern[0]]]]
         share = sum(unordered.get(k, 0) for k in members) * (fact // len(members))
         for k in members:
             out[k] = share

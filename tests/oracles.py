@@ -3,10 +3,12 @@ enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
 block-swap transpose and the translated cayley2 rows replaced, the
 partition lift expanded bit by bit with the routes over it in Fractions,
-the Monte Carlo sampler that drew each batch whole, and stdlib dataclass
-twins of the value classes that `inducibility.frozen` makes.  They share
-no arithmetic with the package; the lift routes take their pattern counts
-from its counter, and the sampler reads its packed adjacency."""
+the Monte Carlo sampler that drew each batch whole, the subset counter
+that counts the last vertex a class at a time in increasing order, and
+stdlib dataclass twins of the value classes that `inducibility.frozen`
+makes.  They share no arithmetic with the package; the lift routes take
+their pattern counts from its counter, and the sampler reads its packed
+adjacency."""
 
 from __future__ import annotations
 
@@ -162,6 +164,69 @@ def sample_masks(packed, t, rng, count, pairs):
                 mask |= bit.astype(np.int64) << slot
             yield mask
             done += batch
+
+
+def subset_counts(G, ell: int) -> dict:
+    """Counts of ell-subsets by (edge mask, loop bits), each subset labeled
+    in increasing vertex order.  The (ell-1)-subsets are enumerated in
+    increasing order, the vertices above them kept in classes (members,
+    code) by their adjacency to the chosen ones (bit i of code) and their
+    loop (bit ell), and the last vertex counted a class at a time by
+    popcount."""
+    n, rows = G.n, G.rows
+    m = masks.slot_count(ell)
+    slot = masks.slot_of(ell)
+    # key[d][code]: the slots and loop bit that the d-th vertex adds to a
+    # pattern, packed as mask | loop bits << m
+    key = [
+        [
+            sum(1 << slot[(i, d)] for i in range(d) if (code >> i) & 1) | (((code >> ell) & 1) << (m + d))
+            for code in range(2 << ell)
+        ]
+        for d in range(ell)
+    ]
+    last = key[ell - 1]
+    counts = [0] * (1 << (m + ell))
+    full = (1 << n) - 1
+    looped = sum(1 << v for v in range(n) if (rows[v] >> v) & 1)
+    start = [(members, code) for members, code in ((full ^ looped, 0), (looped, 1 << ell)) if members]
+
+    def descend(depth: int, pattern: int, classes: list) -> None:
+        bit = 1 << depth
+        here = key[depth]
+        fused = depth + 2 == ell
+        targets = [(rest, last[code | bit], last[code]) for rest, code in classes] if fused else ()
+        for members, code in classes:
+            base = pattern | here[code]
+            while members:
+                low = members & -members
+                members ^= low
+                above = full ^ ((low << 1) - 1)
+                row = rows[low.bit_length() - 1]
+                if fused:
+                    for rest, adjacent, apart in targets:
+                        rest &= above
+                        hit = rest & row
+                        counts[base | adjacent] += hit.bit_count()
+                        counts[base | apart] += (rest ^ hit).bit_count()
+                    continue
+                refined = []
+                for rest, code2 in classes:
+                    rest &= above
+                    hit = rest & row
+                    if hit:
+                        refined.append((hit, code2 | bit))
+                    if rest ^ hit:
+                        refined.append((rest ^ hit, code2))
+                descend(depth + 1, base, refined)
+
+    if ell == 1:
+        for members, code in start:
+            counts[last[code]] += members.bit_count()
+    else:
+        descend(0, 0, start)
+    low_mask = (1 << m) - 1
+    return {(k & low_mask, k >> m): c for k, c in enumerate(counts) if c}
 
 
 def _expand(bits: int, slot_masks) -> int:

@@ -1,10 +1,14 @@
 """The bitset-class pattern counter and the mask orbits against brute force
-over vertex subsets, vertex tuples and permutations."""
+over vertex subsets, vertex tuples and permutations.  The package counter
+is exact on orbits of relabelings, since it may count a subset's last two
+vertices in either order; the oracle counter labels each subset in
+increasing vertex order."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 
 from hypothesis import given, settings
@@ -12,15 +16,16 @@ from hypothesis import strategies as st
 
 from inducibility.graphs import from_edges, graph_from_mask, mask_of_vertices
 from inducibility.masks import orbit, orbit_index, pair_slots, slot_count
-from inducibility.profiles import _decorated_subset_counts, ordered_counts
+from inducibility.profiles import _decorated_subset_counts, _ordered, ordered_counts
+from oracles import subset_counts
 
 
 @st.composite
-def graphs(draw, max_n):
+def graphs(draw, max_n, looped=True):
     n = draw(st.integers(1, max_n))
     pairs = pair_slots(n)
     edge_bits = draw(st.integers(0, (1 << len(pairs)) - 1))
-    loop_bits = draw(st.integers(0, (1 << n) - 1))
+    loop_bits = draw(st.integers(0, (1 << n) - 1)) if looped else 0
     edges = [p for k, p in enumerate(pairs) if (edge_bits >> k) & 1]
     return from_edges(n, edges, [v for v in range(n) if (loop_bits >> v) & 1])
 
@@ -40,7 +45,26 @@ def brute_orbit(t: int, mask: int, loops: int = 0) -> set:
 @given(graphs(max_n=14), st.integers(1, 5))
 def test_subset_counts_match_brute_force(G, ell):
     expected = Counter(pattern(G, c) for c in itertools.combinations(range(G.n), ell))
-    assert _decorated_subset_counts(G, ell) == dict(expected)
+    assert subset_counts(G, ell) == dict(expected)
+
+
+@settings(max_examples=200)
+@given(st.booleans().flatmap(lambda looped: graphs(max_n=14, looped=looped)), st.integers(1, 5))
+def test_orbit_totals_match_brute_force(G, ell):
+    expected = Counter(pattern(G, c) for c in itertools.combinations(range(G.n), ell))
+    assert _ordered(ell, _decorated_subset_counts(G, ell)) == _ordered(ell, expected)
+
+
+def test_orbit_totals_match_oracle_counter():
+    rng = random.Random(7)
+    half = [(u, v) for v in range(62) for u in range(v) if rng.random() < 0.5]
+    cases = [
+        (from_edges(40, [(u, v) for u, v in half if v < 40]), 5),
+        (from_edges(62, half), 4),
+        (from_edges(24, [(u, v) for u, v in half if v < 24], [v for v in range(24) if rng.random() < 0.5]), 5),
+    ]
+    for G, ell in cases:
+        assert _ordered(ell, _decorated_subset_counts(G, ell)) == _ordered(ell, subset_counts(G, ell))
 
 
 @settings(max_examples=100)
