@@ -23,8 +23,6 @@ from .frozen import frozen
 from .graphs import (
     LabeledGraph,
     build_named,
-    canonical_form,
-    CanonicalCode,
     graph6_encode,
     graph_from_mask,
     mask_of,
@@ -59,14 +57,14 @@ def _check_order(t: int) -> None:
 
 @frozen
 class IsoEntry:
-    """One isomorphism type: representative mask, orbit and certificate."""
+    """One isomorphism type: representative mask, orbit and automorphism
+    count t!/|orbit|."""
 
     name: str
     rep_mask: int
     orbit: tuple[int, ...]
     orbit_size: int
     aut_count: int
-    code: CanonicalCode
 
     def edge_count(self) -> int:
         return self.rep_mask.bit_count()
@@ -125,13 +123,8 @@ def iso_table(t: int) -> IsoTable:
     fact = math.factorial(t)
     for name, k in zip(names, order):
         orbit = orbits[k]
-        rep = orbit[0]
-        aut = fact // len(orbit)
-        code = canonical_form(graph_from_mask(t, rep))
-        if code.aut_count != aut:
-            raise AssertionError("orbit size and automorphism count disagree")
         entries.append(
-            IsoEntry(name=name, rep_mask=rep, orbit=orbit, orbit_size=len(orbit), aut_count=aut, code=code)
+            IsoEntry(name=name, rep_mask=orbit[0], orbit=orbit, orbit_size=len(orbit), aut_count=fact // len(orbit))
         )
     position = {k: pos for pos, k in enumerate(order)}
     index = tuple(position[raw_index[mask]] for mask in range(len(raw_index)))
@@ -301,7 +294,7 @@ def _decorated_subset_counts(G: LabeledGraph, ell: int) -> dict:
         for d in range(ell)
     ]
     last = key[ell - 1]
-    counts = [0] * (1 << (m + ell))
+    counts = [0] * (1 << (m + ell if looped else m))  # a loopless graph sets no loop bit
 
     def descend(depth: int, pattern: int, classes: list) -> None:
         bit = 1 << depth

@@ -351,7 +351,6 @@ class IsoEntry:
     orbit: tuple
     orbit_size: int
     aut_count: int
-    code: object
 
 
 @dataclass(frozen=True)

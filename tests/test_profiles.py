@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from inducibility.graphs import build_named, from_edges
+from inducibility.graphs import build_named, canonical_form, from_edges, graph_from_mask
 from inducibility.models import bernoulli, from_graph, model_union
 from inducibility.profiles import (
     BudgetError,
@@ -50,6 +50,14 @@ def test_iso_table_orbits_cover_the_mask_space():
         assert sum(e.orbit_size for e in table.entries) == 1 << slots
         for e in table.entries:
             assert e.orbit_size * e.aut_count == math.factorial(t)
+
+
+def test_iso_table_automorphism_counts_match_the_certificates():
+    # aut_count is t!/|orbit|; canonical_form counts the automorphisms of
+    # each representative independently
+    for t in (2, 3, 4, 5):
+        for e in iso_table(t).entries:
+            assert e.aut_count == canonical_form(graph_from_mask(t, e.rep_mask)).aut_count, (t, e.name)
 
 
 def test_order_four_basis_is_frozen():
