@@ -160,7 +160,6 @@ def repetitive_of(node, t: int, approx: bool = False, budget: int | None = None)
     """Labeled repetitive t-profile of the limit of a construction; the
     dispatch that the CLI and the catalog share."""
     p = plan(node, approx, profiled=True)
-    iso_table(t)  # refuses an order outside 2..5 before any charge
     _charge([p], t, budget)
     return _profile(p, t, budget)
 
@@ -192,11 +191,16 @@ def induced_of(node, t: int, approx: bool = False, budget: int | None = None) ->
     return induced_from_repetitive(_profile(p, t, budget), p.size)
 
 
-def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int | None = None) -> tuple:
-    """A nested base as (vertex count, labeled repetitive t-profile), as repetitive_of profiles it."""
+def _nested(p, t: int, budget: int | None):
+    """A nested base's plan as nesting takes it: built, or a tensor's (size, convolved t-profile)."""
+    return (p.size, _profile(p, t, budget)) if p.factors else p.build()
+
+
+def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int | None = None):
+    """A nested base, charged as repetitive_of charges it, by _nested."""
     p = _loopless(parse_expr(expr), t, approx, message)
     _charge([p], t, budget)
-    return p.size, _profile(p, t, budget)
+    return _nested(p, t, budget)
 
 
 def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None = None):
@@ -208,7 +212,7 @@ def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None
 def nested_profile(expr: str, t: int, approx: bool = False, budget: int | None = None):
     """Stationary t-profile of the nested composition of a graph construction."""
     base = _nested_base(expr, t, approx, "nested profiles need a loopless graph construction", budget)
-    return stationary_profile(base, t).profile
+    return stationary_profile(base, t, budget).profile
 
 
 def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: bool = False,
@@ -221,7 +225,7 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
     base = [_loopless(parse_expr(nested), Q.t, approx, message)] if nested else []
     _charge(plans + base, Q.t, budget)
     spectra = [fourier(_profile(p, Q.t, budget)) for p in plans]
-    spectra += [nested_spectral((p.size, _profile(p, Q.t, budget)), Q.t) for p in base]
+    spectra += [nested_spectral(_nested(p, Q.t, budget), Q.t, budget) for p in base]
     return product_limit_density(Q, *spectra)
 
 

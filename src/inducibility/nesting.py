@@ -20,12 +20,15 @@ from .linalg import solve_rational_kernel
 from .profiles import (
     LabeledProfile,
     ProfileVector,
+    charge,
     clear_denominators,
     divide,
     iso_table,
     labeled_repetitive,
+    ordered_counts,
     ordered_from_repetitive,
     partition_lift,
+    repetitive_cost,
 )
 from .spectral import SpectralProfile, fourier
 
@@ -35,13 +38,23 @@ class DegenerateStationaryError(RuntimeError):
 
 
 def _base(G, t: int, budget: int | None = None) -> tuple:
-    """The input of the nesting calculus, a pair (n, labeled repetitive
-    t-profile) as it is, or a loopless graph profiled against the budget."""
+    """A hashable base pair: (n, labeled repetitive t-profile) as it is, or
+    (n, G) for a loopless graph G once its order is checked and it is charged."""
     if not isinstance(G, LabeledGraph):
         return G
     if not G.is_loopless:
         raise ValueError("composition is defined over loopless outer graphs")
-    return G.n, labeled_repetitive(G, t, budget)
+    charge(*repetitive_cost(G.n, True, t), budget)
+    return G.n, G
+
+
+def _ordered(G, t: int) -> tuple:
+    """The one intake: n and the ordered counts N_1..N_t of a graph, or read back from a profile."""
+    n, source = _base(G, t)
+    if isinstance(source, LabeledGraph):
+        return n, ordered_counts(source, t)
+    d, ordered = ordered_from_repetitive(source, n)
+    return n, {ell: {k: c // d for k, c in counts.items()} for ell, counts in ordered.items()}
 
 
 def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:
@@ -58,13 +71,9 @@ def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:
     if inner.flavor != "r":
         raise ValueError("inner profile must be repetitive")
     t = inner.t
-    n, lab = _base(G, t)
-    # the base's counts are integers, so floats are lifted as a graph's are
-    e, ordered = ordered_from_repetitive(lab, n)
-    ordered = {ell: {k: c // e for k, c in counts.items()} for ell, counts in ordered.items()}
+    n, ordered = _ordered(G, t)
     d, scaled = clear_denominators(inner.values)
-    weights = {mask: v for mask, v in enumerate(scaled) if v}
-    nums = partition_lift(t, ordered, weights)
+    nums = partition_lift(t, ordered, {mask: v for mask, v in enumerate(scaled) if v})
     return LabeledProfile(t=t, flavor="r", values=divide(nums, d * n ** t))
 
 
@@ -104,18 +113,15 @@ def transition_matrix(G, t: int) -> TransitionMatrix:
     """Matrix F with F[i][j] = density of type i after composing G over a
     limit concentrated on type j.
 
-    Column j lifts the 0/1 indicator of orbit j over the ordered counts of
-    G times its profile's denominator d, in integers; the density of a
-    type-i mask is divided once by d * n^t * |orbit j|, times |orbit i|.
+    Column j lifts orbit j's 0/1 indicator over G's ordered counts in
+    integers; entry i is its type-i mask times |orbit i| / (n^t |orbit j|).
     """
     table = iso_table(t)
-    n, lab = _base(G, t)
-    d, ordered = ordered_from_repetitive(lab, n)
-    total = d * n ** t
+    n, ordered = _ordered(G, t)
     cols = []
     for e in table.entries:
         nums = partition_lift(t, ordered, dict.fromkeys(e.orbit, 1))
-        den = total * e.orbit_size
+        den = n ** t * e.orbit_size
         cols.append([Fraction(nums[f.rep_mask] * f.orbit_size, den) for f in table.entries])
     return TransitionMatrix(t=t, rows=tuple(zip(*cols)))
 
@@ -138,8 +144,8 @@ class NestedProfile:
 def stationary_profile(G, t: int, budget: int | None = None) -> NestedProfile:
     """Unique fixed point of the nesting map of G in the simplex.
 
-    The budget bounds the ell-subsets of a graph G, ell <= t, that its
-    profile enumerates.  Raises DegenerateStationaryError when the
+    The budget bounds the ell-subsets of a graph G, ell <= t, whose
+    patterns are counted.  Raises DegenerateStationaryError when the
     fixed-point space does not pin down a single distribution.
     """
     F = transition_matrix(_base(G, t, budget), t)

@@ -181,6 +181,14 @@ class ProfileVector:
         return LabeledProfile(t=self.t, flavor=flavor, values=tuple(out))
 
 
+def check_orbits(t: int, scaled, tol, what: str) -> None:
+    """Refuse mask-indexed values, cleared of denominators, that differ by more than tol on an orbit."""
+    for e in iso_table(t).entries:
+        ref = scaled[e.rep_mask]
+        if any(scaled[m] != ref and abs(scaled[m] - ref) > tol for m in e.orbit):
+            raise ValueError(f"{what} is not constant on orbits")
+
+
 @frozen
 class LabeledProfile:
     """Density per labeled graph, indexed by edge-slot mask."""
@@ -196,13 +204,7 @@ class LabeledProfile:
             raise ValueError("value count does not match the mask space")
         # exact entries are compared as integers over one denominator
         scaled = _validate_distribution(self.values, "labeled entries")
-        tol = 0 if self.exact else APPROX_TOL
-        for e in iso_table(self.t).entries:
-            ref = scaled[e.rep_mask]
-            for mask in e.orbit:
-                v = scaled[mask]
-                if v != ref and abs(v - ref) > tol:
-                    raise ValueError("labeled profile is not constant on orbits")
+        check_orbits(self.t, scaled, 0 if self.exact else APPROX_TOL, "labeled profile")
 
     @property
     def exact(self) -> bool:
@@ -468,9 +470,10 @@ def divide(numerators, denominator: int) -> tuple:
 
 
 def repetitive_cost(size: int, lifted: bool, t: int) -> tuple:
-    """What labeled_repetitive charges a source of `size` vertices or
-    types, and in what: C(size, ell) subsets at the largest order when it
-    takes the partition lift, size^t assignments otherwise."""
+    """What labeled_repetitive charges a source of `size` vertices or types
+    at an order t in 2..5, checked first: C(size, ell) subsets at the largest
+    order when it takes the partition lift, size^t assignments otherwise."""
+    _check_order(t)
     return (max(math.comb(size, ell) for ell in range(1, t + 1)), "subsets") if lifted else (size ** t, "assignments")
 
 
@@ -483,7 +486,6 @@ def labeled_repetitive(source, t: int, budget: int | None = None) -> LabeledProf
     subsets per order before any pattern is counted.  Every other model
     enumerates its k^t assignments.
     """
-    _check_order(t)
     graph = isinstance(source, LabeledGraph)
     lifted = graph or (source.exact and source.is_zero_one() and source.has_uniform_masses())
     charge(*repetitive_cost(source.n if graph else source.k, lifted, t), budget)
@@ -550,8 +552,8 @@ def ordered_from_repetitive(lab: LabeledProfile, s: int) -> tuple:
     nonzero counts of ell distinct vertices in order by pattern, as
     ordered_counts gives them.  With r_ell the marginal of r_t on the first
     ell positions, s^ell * r_ell is N_ell plus the partition lift of N_1 ..
-    N_(ell-1), so the N_ell come out in turn, in integers.  Loops would
-    enter the lift, so the source must be loopless; the caller checks it."""
+    N_(ell-1), so the N_ell come out in turn; exact N_ell must be nonnegative
+    integers.  Loops would enter the lift; the caller checks there are none."""
     if lab.flavor != "r":
         raise ValueError("expected a labeled repetitive profile")
     t = lab.t
@@ -561,16 +563,18 @@ def ordered_from_repetitive(lab: LabeledProfile, s: int) -> tuple:
         scale = s ** ell
         counts = (v * scale - low for v, low in zip(_marginal(scaled, t, ell), partition_lift(ell, ordered)))
         ordered[ell] = {(mask, 0): c for mask, c in enumerate(counts) if c}
+        if isinstance(d, int) and any(c < 0 or c % d for c in ordered[ell].values()):
+            raise ValueError(f"not the repetitive profile of a loopless {s}-vertex graph")
     return d, ordered
 
 
 def induced_from_repetitive(lab: LabeledProfile, s: int) -> ProfileVector:
     """Induced t-profile of a loopless s-vertex graph from its labeled
     repetitive t-profile (ordered_from_repetitive's N_t over s!/(s-t)!)."""
-    d, ordered = ordered_from_repetitive(lab, s)
     t = lab.t
     if s < t:
         raise ValueError("graph has fewer vertices than the profile order")
+    d, ordered = ordered_from_repetitive(lab, s)
     table = iso_table(t)
     counts = [0] * len(table.entries)
     for (mask, _), c in ordered[t].items():

@@ -17,6 +17,7 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     QuantumGraph,
+    check_orbits,
     clear_denominators,
     divide,
     iso_table,
@@ -67,11 +68,7 @@ class SpectralProfile:
             raise ValueError("spectrum of a unit-mass profile must start at one")
         if any(abs(v) > d + tol for v in scaled):
             raise ValueError("spectral values must lie in [-1, 1]")
-        for e in iso_table(self.t).entries:
-            ref = scaled[e.rep_mask]
-            for mask in e.orbit:
-                if abs(scaled[mask] - ref) > tol:
-                    raise ValueError("spectrum is not constant on orbits")
+        check_orbits(self.t, scaled, tol, "spectrum")
 
     @property
     def exact(self) -> bool:

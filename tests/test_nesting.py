@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from inducibility.graphs import build_named, compose, from_edges, tensor
+from inducibility import catalog, nesting, profiles
+from inducibility.catalog import catalog_rows, run_row
+from inducibility.cli import run_command
+from inducibility.graphs import blow_up, build_named, compose, from_edges, tensor
 from inducibility.models import from_graph
 from inducibility.nesting import (
     DegenerateStationaryError,
@@ -15,7 +19,14 @@ from inducibility.nesting import (
     stationary_profile,
     transition_matrix,
 )
-from inducibility.profiles import iso_table, labeled_repetitive_profile
+from inducibility.profiles import (
+    BudgetError,
+    induced_from_repetitive,
+    induced_profile,
+    iso_table,
+    labeled_repetitive,
+    labeled_repetitive_profile,
+)
 
 
 def _labeled(G, t):
@@ -129,3 +140,72 @@ def test_nested_spectral_values():
     assert q_hat.entry("K4") == Fraction(18, 91)
     assert q_hat.entry("C4") == Fraction(9, 91)
     assert q_hat.entry("M4") == 0 and q_hat.entry("Q4") == 0 and q_hat.entry("V4") == 0
+
+
+_BUILT_BASES = (
+    ["nested-profile", "--t", "5", "C5"],
+    ["nested-profile", "--t", "4", "paley(17)"],
+    ["limit", "--t", "4", "--quantum", "P4", "--nested", "C5"],
+)
+
+
+def test_built_bases_enter_as_ordered_counts(capsys, monkeypatch):
+    # a built nested base is counted once: with its lift into a profile and
+    # the read-back refused, the commands print what they printed before,
+    # and the catalog's nested rows over built graphs still pass
+    def run(argv):
+        transition_matrix.cache_clear()  # a cached matrix would hide the route
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    before = [run(argv) for argv in _BUILT_BASES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a built base was lifted or read back")
+
+    for name in ("labeled_repetitive", "ordered_from_repetitive"):
+        monkeypatch.setattr(nesting, name, refuse)
+    monkeypatch.setattr(catalog, "_profile", refuse)
+    after = [run(argv) for argv in _BUILT_BASES]
+    assert after == before
+    assert all(code == 0 for code, _, _ in after)
+    value = json.loads(after[2][1])["values"][0]
+    assert (value["num"], value["den"]) == ("6", "31")
+    rows = {row.row_id: row for row in catalog_rows("headline") + catalog_rows("appendix5")}
+    for row_id in ("headline-05", "headline-06", "headline-07", "appendix5-14"):
+        transition_matrix.cache_clear()
+        assert run_row(rows[row_id]).passed, row_id
+
+
+def test_a_profile_of_no_graph_is_refused():
+    # read back as a 6-vertex graph's, C5's profile would give an edge
+    # N_2 = 72/5; as a 10-vertex graph's it is the profile of blow_up(C5, 2)
+    C5 = build_named("C", [5])
+    lab = labeled_repetitive(C5, 3)
+    message = "^not the repetitive profile of a loopless 6-vertex graph$"
+    for call in (
+        lambda: induced_from_repetitive(lab, 6),
+        lambda: transition_matrix((6, lab), 3),
+        lambda: stationary_profile((6, lab), 3),
+        lambda: compose_profile((6, lab), lab),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    induced = induced_from_repetitive(lab, 10)
+    assert induced == induced_profile(blow_up(C5, 2), 3)
+    assert induced.values == (0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+
+
+def test_graph_bases_check_the_order_then_loops_then_the_budget(monkeypatch):
+    monkeypatch.setattr(profiles, "DEFAULT_BUDGET", 5)
+    C5 = build_named("C", [5])
+    transition_matrix.cache_clear()  # a cached matrix is not charged again
+    with pytest.raises(BudgetError, match="^10 subsets exceed the budget of 5$"):
+        transition_matrix(C5, 3)
+    # a budget above the default reaches the charge
+    assert stationary_profile(C5, 3, budget=100).entry("K3") == Fraction(1, 8)
+    with pytest.raises(ValueError, match="^profile order must be in 2..5$"):
+        stationary_profile(C5, 9, budget=1)
+    with pytest.raises(ValueError, match="^composition is defined over loopless outer graphs$"):
+        stationary_profile(build_named("loopK", [3]), 3, budget=1)
