@@ -27,6 +27,7 @@ from .graphs import (
     check_order,
     complement,
     compose,
+    disjoint_union,
     graph6_decode,
     named_looped,
     named_order,
@@ -280,7 +281,8 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
     whether labeled_repetitive takes the partition lift; a no-argument build
     that checks nothing again; and the plans of an exact tensor's factors,
     flattened, when it is `profiled` from them.  The vertex cap bounds what
-    is built, so such a tensor is not capped.  Every fault of the tree is
+    is built, so such a tensor is not capped; a profiled lifted union of
+    graphs builds as their disjoint union.  Every fault of the tree is
     raised here; only a load leaf is read and decoded, for its order."""
     op, args = node.op, node.args
     if op not in OPERATORS:
@@ -300,8 +302,12 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
         weights = [float(w) if approx else w for _, w in args]
         if any(w <= 0 for w in weights):
             raise ValueError("union weights must be positive")
-        lifted = all(p.lifted for p in parts) and len({Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
-        return Plan(sum(p.size for p in parts), None, not approx and lifted, lambda: model_union(
+        lifted = not approx and all(p.lifted for p in parts) and len(
+            {Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
+        if profiled and lifted and all(p.looped is not None for p in parts):
+            return Plan(sum(p.size for p in parts), None, True, lambda: reduce(
+                disjoint_union, [p.build() for p in parts]))
+        return Plan(sum(p.size for p in parts), None, lifted, lambda: model_union(
             [(_as_model(p.build()), w) for p, w in zip(parts, weights)]))
     if op == "complement":
         n, looped, lifted, inner, _ = plan(args[0], approx)
@@ -367,11 +373,7 @@ def parse_quantum(text: str, t: int | None = None) -> QuantumGraph:
         ]
         if not candidates:
             raise ExprError(f"no single order resolves all of {[n for n, _ in terms]}")
-        if len(candidates) > 1:
-            raise ExprError(
-                f"order is ambiguous among {candidates}; pass t explicitly"
-            )
-        t = candidates[0]
+        t = candidates[0]  # no type name appears at two orders
     for name, _ in terms:
         if name not in iso_table(t).names:
             raise ExprError(f"unknown type name {name!r} at order {t}")

@@ -51,10 +51,7 @@ def _base(G, t: int, budget: int | None = None) -> tuple:
 def _ordered(G, t: int) -> tuple:
     """The one intake: n and the ordered counts N_1..N_t of a graph, or read back from a profile."""
     n, source = _base(G, t)
-    if isinstance(source, LabeledGraph):
-        return n, ordered_counts(source, t)
-    d, ordered = ordered_from_repetitive(source, n)
-    return n, {ell: {k: c // d for k, c in counts.items()} for ell, counts in ordered.items()}
+    return n, ordered_counts(source, t) if isinstance(source, LabeledGraph) else ordered_from_repetitive(source, n)
 
 
 def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import masks
 from .frozen import frozen
@@ -264,11 +265,7 @@ def quantum_density(Q: QuantumGraph, prof: ProfileVector):
     """Evaluate a quantum graph against a profile of the same order."""
     if Q.t != prof.t:
         raise ValueError("order mismatch between quantum graph and profile")
-    total = None
-    for idx, coeff in Q.coefficients:
-        term = coeff * prof.values[idx]
-        total = term if total is None else total + term
-    return total
+    return reduce(operator.add, [coeff * prof.values[idx] for idx, coeff in Q.coefficients])
 
 
 def _decorated_subset_counts(G: LabeledGraph, ell: int) -> dict:
@@ -346,12 +343,17 @@ def induced_profile(G: LabeledGraph, t: int, budget: int | None = None) -> Profi
         raise ValueError("graph has fewer vertices than the profile order")
     total = math.comb(G.n, t)
     charge(total, "subsets", budget)
+    return _induced(t, _decorated_subset_counts(G, t), total)
+
+
+def _induced(t: int, counts: dict, total: int) -> ProfileVector:
+    """Induced t-profile from counts of t-vertex patterns keyed by (mask,
+    loop bits), tallied by type and divided once by their total."""
     table = iso_table(t)
-    counts = [0] * len(table.entries)
-    for (mask, _), c in _decorated_subset_counts(G, t).items():
-        counts[table.index[mask]] += c
-    values = tuple(Fraction(c, total) for c in counts)
-    return ProfileVector(t=t, flavor="induced", values=values)
+    tally = [0] * len(table.entries)
+    for (mask, _), c in counts.items():
+        tally[table.index[mask]] += c
+    return ProfileVector(t=t, flavor="induced", values=divide(tally, total))
 
 
 def _repetitive_by_assignments(M: StepModel, t: int) -> tuple:
@@ -546,40 +548,37 @@ def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     return LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
 
 
-def ordered_from_repetitive(lab: LabeledProfile, s: int) -> tuple:
-    """The one denominator d of the labeled repetitive t-profile r_t of a
-    loopless s-vertex graph, and d times N_ell, ell = 1..min(s, t), its
-    nonzero counts of ell distinct vertices in order by pattern, as
-    ordered_counts gives them.  With r_ell the marginal of r_t on the first
-    ell positions, s^ell * r_ell is N_ell plus the partition lift of N_1 ..
-    N_(ell-1), so the N_ell come out in turn; exact N_ell must be nonnegative
-    integers.  Loops would enter the lift; the caller checks there are none."""
+def ordered_from_repetitive(lab: LabeledProfile, s: int) -> dict:
+    """N_ell, ell = 1..min(s, t), the nonzero counts of ell distinct vertices
+    in order by pattern of a loopless s-vertex graph, as ordered_counts gives
+    them, read back from its exact labeled repetitive t-profile r_t.  With
+    r_ell the marginal of r_t on the first ell positions, s^ell * r_ell is
+    N_ell plus the partition lift of N_1 .. N_(ell-1), so the N_ell come out
+    in turn, each a nonnegative integer once r_t is cleared to integers over
+    its one denominator d.  Loops would enter the lift; the caller checks
+    there are none."""
     if lab.flavor != "r":
         raise ValueError("expected a labeled repetitive profile")
+    if not lab.exact:
+        raise ValueError("ordered counts are read back from exact profiles only")
     t = lab.t
     d, scaled = clear_denominators(lab.values)
     ordered: dict = {}
     for ell in range(1, min(s, t) + 1):
         scale = s ** ell
-        counts = (v * scale - low for v, low in zip(_marginal(scaled, t, ell), partition_lift(ell, ordered)))
-        ordered[ell] = {(mask, 0): c for mask, c in enumerate(counts) if c}
-        if isinstance(d, int) and any(c < 0 or c % d for c in ordered[ell].values()):
+        counts = [v * scale - d * low for v, low in zip(_marginal(scaled, t, ell), partition_lift(ell, ordered))]
+        if any(c < 0 or c % d for c in counts):
             raise ValueError(f"not the repetitive profile of a loopless {s}-vertex graph")
-    return d, ordered
+        ordered[ell] = {(mask, 0): c // d for mask, c in enumerate(counts) if c}
+    return ordered
 
 
 def induced_from_repetitive(lab: LabeledProfile, s: int) -> ProfileVector:
     """Induced t-profile of a loopless s-vertex graph from its labeled
     repetitive t-profile (ordered_from_repetitive's N_t over s!/(s-t)!)."""
-    t = lab.t
-    if s < t:
+    if s < lab.t:
         raise ValueError("graph has fewer vertices than the profile order")
-    d, ordered = ordered_from_repetitive(lab, s)
-    table = iso_table(t)
-    counts = [0] * len(table.entries)
-    for (mask, _), c in ordered[t].items():
-        counts[table.index[mask]] += c
-    return ProfileVector(t=t, flavor="induced", values=divide(counts, d * math.perm(s, t)))
+    return _induced(lab.t, ordered_from_repetitive(lab, s)[lab.t], math.perm(s, lab.t))
 
 
 def _packed_adjacency(G: LabeledGraph):

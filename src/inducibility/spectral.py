@@ -8,7 +8,9 @@ tensor powers reduce to a handful of per-factor spectral values.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from . import masks
 from .frozen import frozen
@@ -173,11 +175,5 @@ def product_limit_density(Q: QuantumGraph, *spectra: SpectralProfile):
     spectrum = spectral_product(*spectra)
     if spectrum.t != Q.t:
         raise ValueError("order mismatch between quantum graph and spectrum")
-    coeffs = quantum_functional(Q)
-    total = None
-    for c, v in zip(coeffs, spectrum.type_values()):
-        if c == 0:
-            continue
-        term = c * v
-        total = term if total is None else total + term
-    return total
+    terms = [c * v for c, v in zip(quantum_functional(Q), spectrum.type_values()) if c != 0]
+    return reduce(operator.add, terms)

@@ -456,6 +456,10 @@ def test_expression_errors_read_plainly(capsys):
         (["density", "--t", "4", "--quantum", "K3", "C5"], "unknown type name 'K3' at order 4"),
         (["profile", "--t", "3", "union(K2:1/0)"], "zero denominator (at column 12)"),
         (["density", "--t", "3", "--quantum", "1/0*K3", "C5"], "bad quantum term '1/0*K3'"),
+        (["estimate", "--t", "3", "--samples", "0", "--seed", "1", "C5"], "need at least one sample"),
+        (["profile", "--t", "3", "Q9"], "unknown construction 'Q9' (at column 1)"),
+        (["profile", "--t", "3", "blowup(K2, 0)"], "blowup count must be positive (at column 1)"),
+        (["profile", "--t", "3", "kpart(1.5)"], "expected an integer (at column 7)"),
     ):
         assert _run(capsys, argv) == (2, "", f"error: {message}\n")
 
@@ -620,14 +624,36 @@ def test_version_flag(capsys):
 
 def test_graphs_stay_graphs(capsys, monkeypatch):
     # graph sources never become a Fraction matrix: every binding of
-    # from_graph refuses, and graph-only commands still answer
+    # from_graph and model_union refuses, graph-only commands still answer,
+    # and a lifted union of graphs answers as the dense model it replaces did
     assert _refuse_everywhere(monkeypatch, models.from_graph, "a graph source was turned into a step model") >= 2
+    assert _refuse_everywhere(monkeypatch, models.model_union, "a union of graphs was made a step model") >= 1
     for flavor in ("repetitive", "labeled", "spectral", "induced"):
         _run_json(capsys, ["profile", "--t", "4", "--flavor", flavor, "C5"])
     _run_json(capsys, ["density", "--t", "4", "--quantum", "K4+A4", "tensor(M4, K4, K3, K3)"])
     _run_json(capsys, ["limit", "--t", "4", "--quantum", "K4+A4", "--factors", "M4, K4, K3, K3"])
     _run_json(capsys, ["limit", "--t", "4", "--quantum", "P4", "--nested", "tensor(K3, K3)"])
     assert all(r.passed for r in reproduce_table("headline"))
+    for argv, values in (
+        (["profile", "--t", "4", "union(K2:1, K2:1)"],
+         "0 15/64 0 1/16 3/32 3/64 0 3/8 0 3/16 0"),
+        (["profile", "--t", "3", "--flavor", "labeled", "union(loopK1:1, A1:1)"], "1/8 1/2 0 1/8"),
+        (["profile", "--t", "4", "tensor(union(K2:1, K2:1), K3)"],
+         "1/48 29/1728 1/18 55/432 5/288 17/192 11/72 1/12 31/144 1/24 13/72"),
+        (["limit", "--t", "4", "--quantum", "K4+A4", "--factors", "union(K2:1, K2:1), K4"], "27/512"),
+    ):
+        payload = _run_json(capsys, argv)
+        assert [Fraction(int(v["num"]), int(v["den"])) for v in payload["values"]] == [
+            Fraction(v) for v in values.split()], argv
+
+
+def test_a_lifted_union_of_graphs_is_profiled_as_their_disjoint_union(capsys):
+    # one part of weight 1 is the part itself; as a dense 2000-type model
+    # this took about 4 s
+    start = time.perf_counter()
+    union = _run(capsys, ["profile", "--t", "2", "union(K2000:1)"])
+    assert time.perf_counter() - start < 1
+    assert union == _run(capsys, ["profile", "--t", "2", "K2000"])
 
 
 def _src_env() -> dict:

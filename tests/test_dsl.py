@@ -352,6 +352,16 @@ def test_parse_quantum_inference_and_errors():
     assert parse_quantum("C5").t == 5
 
 
+def test_every_type_name_belongs_to_one_order():
+    # parse_quantum infers the order of a term from its type names, aliases
+    # included, so no name may appear at two orders
+    named = [(name, t) for t in range(2, 6) for name in iso_table(t).names]
+    assert len({name for name, _ in named}) == len(named)
+    for name, t in named:  # graph6 names at order 5 are outside the term syntax
+        if re.fullmatch(r"[A-Za-z]\w*", name):
+            assert parse_quantum(name).t == t
+
+
 def test_quantum_explicit_order():
     Q = parse_quantum("bull + C5", t=5)
     assert Q.t == 5

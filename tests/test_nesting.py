@@ -21,6 +21,7 @@ from inducibility.nesting import (
 )
 from inducibility.profiles import (
     BudgetError,
+    LabeledProfile,
     induced_from_repetitive,
     induced_profile,
     iso_table,
@@ -180,18 +181,26 @@ def test_built_bases_enter_as_ordered_counts(capsys, monkeypatch):
 
 def test_a_profile_of_no_graph_is_refused():
     # read back as a 6-vertex graph's, C5's profile would give an edge
-    # N_2 = 72/5; as a 10-vertex graph's it is the profile of blow_up(C5, 2)
+    # N_2 = 72/5; as a 10-vertex graph's it is the profile of blow_up(C5, 2).
+    # A float profile is not read back: floored, the float copy of
+    # paley(13)'s read back N_1 = 12.0 and a count of -1.0, and its induced
+    # profile had a -1.3e-17 entry
     C5 = build_named("C", [5])
     lab = labeled_repetitive(C5, 3)
-    message = "^not the repetitive profile of a loopless 6-vertex graph$"
-    for call in (
-        lambda: induced_from_repetitive(lab, 6),
-        lambda: transition_matrix((6, lab), 3),
-        lambda: stationary_profile((6, lab), 3),
-        lambda: compose_profile((6, lab), lab),
+    paley = labeled_repetitive(build_named("paley", [13]), 4)
+    floats = LabeledProfile(t=4, flavor="r", values=tuple(float(v) for v in paley.values))
+    for s, bad, message in (
+        (6, lab, "^not the repetitive profile of a loopless 6-vertex graph$"),
+        (13, floats, "^ordered counts are read back from exact profiles only$"),
     ):
-        with pytest.raises(ValueError, match=message):
-            call()
+        for call in (
+            lambda: induced_from_repetitive(bad, s),
+            lambda: transition_matrix((s, bad), bad.t),
+            lambda: stationary_profile((s, bad), bad.t),
+            lambda: compose_profile((s, bad), bad),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
     induced = induced_from_repetitive(lab, 10)
     assert induced == induced_profile(blow_up(C5, 2), 3)
     assert induced.values == (0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
