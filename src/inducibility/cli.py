@@ -206,7 +206,7 @@ def _run_convert(args) -> dict:
         g = graph6_decode(args.graph6)
         text = args.graph6
     else:
-        n, looped, _, build, _ = plan(parse_expr(args.encode), args.approx)
+        n, looped, _, build, *_ = plan(parse_expr(args.encode), args.approx)
         if looped is None:
             raise ValueError("convert --encode needs a graph construction")
         check_graph6(n, looped)
@@ -240,7 +240,13 @@ def _cache_key(args) -> str:
     by the sha256 of its bytes, which LOADED keeps to build the graph from.
     The output format and the budget do not change the result: not keyed.
     """
-    import hashlib  # here, so that a command without --cache never loads OpenSSL
+    try:  # the interpreter's builtin sha256: hashlib would load OpenSSL for a few hundred bytes
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.11 and earlier
+        except ImportError:  # an interpreter built without them
+            from hashlib import sha256
     parts = [f"version={__version__}", f"command={args.command}"]
     for name in ("t", "flavor", "samples", "seed", "which", "graph6"):
         if hasattr(args, name) and getattr(args, name) is not None:
@@ -258,9 +264,9 @@ def _cache_key(args) -> str:
             loaded += [path for node in nodes for path in loaded_paths(node)]
     for path in loaded:
         LOADED[path] = Path(path).read_bytes()
-        parts.append(f"load={hashlib.sha256(LOADED[path]).hexdigest()}")
+        parts.append(f"load={sha256(LOADED[path]).hexdigest()}")
     blob = "\n".join(parts).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # the keys of each command's payload; every other command writes a profile
@@ -331,6 +337,8 @@ def _render_table(payload: dict) -> str:
 
 
 def run_command(argv) -> int:
+    # numpy's OpenBLAS would start an idle worker thread at import; no command calls BLAS
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

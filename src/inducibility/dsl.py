@@ -272,7 +272,7 @@ _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
 OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
 
 
-Plan = namedtuple("Plan", "size looped lifted build factors", defaults=((),))
+Plan = namedtuple("Plan", "size looped lifted build factors merged", defaults=((), False))
 
 
 def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
@@ -282,8 +282,10 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
     that checks nothing again; and the plans of an exact tensor's factors,
     flattened, when it is `profiled` from them.  The vertex cap bounds what
     is built, so such a tensor is not capped; a profiled lifted union of
-    graphs builds as their disjoint union.  Every fault of the tree is
-    raised here; only a load leaf is read and decoded, for its order."""
+    graphs, or of such unions and their complements, builds as their
+    disjoint union and is `merged`: a graph, its loops possibly mixed,
+    though looped is None.  Every fault of the tree is raised here; only a
+    load leaf is read and decoded, for its order."""
     op, args = node.op, node.args
     if op not in OPERATORS:
         return Plan(named_order(op, args), named_looped(op, args), True, lambda: build_named(op, args))
@@ -298,21 +300,21 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
         k, model = (1, bernoulli) if op == "bernoulli" else (2, bipartite_random)
         return Plan(k, None, not approx and p in (0, 1), lambda: model(p))
     if op == "union":  # a lifted part of n types has masses weight/n before normalizing
-        parts = [plan(e, approx) for e, _ in args]
+        parts = [plan(e, approx, profiled and e.op != "tensor") for e, _ in args]
         weights = [float(w) if approx else w for _, w in args]
         if any(w <= 0 for w in weights):
             raise ValueError("union weights must be positive")
         lifted = not approx and all(p.lifted for p in parts) and len(
             {Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
-        if profiled and lifted and all(p.looped is not None for p in parts):
+        if profiled and lifted and all(p.looped is not None or p.merged for p in parts):
             return Plan(sum(p.size for p in parts), None, True, lambda: reduce(
-                disjoint_union, [p.build() for p in parts]))
+                disjoint_union, [p.build() for p in parts]), merged=True)
         return Plan(sum(p.size for p in parts), None, lifted, lambda: model_union(
             [(_as_model(p.build()), w) for p, w in zip(parts, weights)]))
-    if op == "complement":
-        n, looped, lifted, inner, _ = plan(args[0], approx)
-        flip = model_complement if looped is None else complement
-        return Plan(n, None if looped is None else not looped, lifted, lambda: flip(inner()))
+    if op == "complement":  # a tensor inside a complement or a union is built, so stays capped
+        n, looped, lifted, inner, _, merged = plan(args[0], approx, profiled and args[0].op != "tensor")
+        flip = complement if looped is not None or merged else model_complement
+        return Plan(n, None if looped is None else not looped, lifted, lambda: flip(inner()), merged=merged)
     profiled = profiled and op == "tensor" and not approx
     # blowup's count is a factor of its size, and builds as itself
     plans = [plan(a, approx, profiled) if isinstance(a, Node) else Plan(a, False, True, lambda a=a: a) for a in args]

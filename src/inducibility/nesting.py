@@ -105,22 +105,31 @@ class TransitionMatrix:
         return self.rows[i][j]
 
 
-@lru_cache(maxsize=32)
 def transition_matrix(G, t: int) -> TransitionMatrix:
     """Matrix F with F[i][j] = density of type i after composing G over a
     limit concentrated on type j.
 
     Column j lifts orbit j's 0/1 indicator over G's ordered counts in
     integers; entry i is its type-i mask times |orbit i| / (n^t |orbit j|).
+    A graph G is charged on every call, before the cached lookup.
     """
+    return _transition_matrix(_base(G, t), t)
+
+
+@lru_cache(maxsize=32)
+def _transition_matrix(base, t: int) -> TransitionMatrix:
     table = iso_table(t)
-    n, ordered = _ordered(G, t)
+    n, ordered = _ordered(base, t)
     cols = []
     for e in table.entries:
         nums = partition_lift(t, ordered, dict.fromkeys(e.orbit, 1))
         den = n ** t * e.orbit_size
         cols.append([Fraction(nums[f.rep_mask] * f.orbit_size, den) for f in table.entries])
     return TransitionMatrix(t=t, rows=tuple(zip(*cols)))
+
+
+transition_matrix.cache_info = _transition_matrix.cache_info  # the cache's handles, as lru_cache names them
+transition_matrix.cache_clear = _transition_matrix.cache_clear
 
 
 @frozen

@@ -485,7 +485,8 @@ def test_cache_round_trip(capsys, tmp_path):
     argv = ["profile", "--t", "3", "--cache", str(tmp_path), "C5"]
     code1, out1, err1 = _run(capsys, argv)
     files = list(tmp_path.glob("*.json"))
-    assert code1 == 0 and len(files) == 1
+    assert code1 == 0 and [f.name for f in files] == [
+        "e54f299903c0324cf1c06af70d6843f6b0a02320d65997d26ab19cf51c232e8f.json"]
     code2, out2, err2 = _run(capsys, argv)
     assert code2 == 0
     assert out1 == out2
@@ -641,10 +642,22 @@ def test_graphs_stay_graphs(capsys, monkeypatch):
         (["profile", "--t", "4", "tensor(union(K2:1, K2:1), K3)"],
          "1/48 29/1728 1/18 55/432 5/288 17/192 11/72 1/12 31/144 1/24 13/72"),
         (["limit", "--t", "4", "--quantum", "K4+A4", "--factors", "union(K2:1, K2:1), K4"], "27/512"),
+        # a complement flips the loops of a union whose parts' loops differ
+        (["profile", "--t", "3", "--flavor", "labeled", "complement(union(loopK1:1, A1:1))"], "1/2 1/8 1/8 0"),
+        (["profile", "--t", "4", "union(complement(union(K2:2, loopK1:1)):3, C5:5)"],
+         "5/2048 393/2048 21/512 21/512 183/2048 51/2048 3/512 135/512 3/1024 315/1024 15/512"),
     ):
         payload = _run_json(capsys, argv)
         assert [Fraction(int(v["num"]), int(v["den"])) for v in payload["values"]] == [
             Fraction(v) for v in values.split()], argv
+    # a union under a complement or inside a union stays a graph too; as a
+    # dense model each of these took several seconds
+    for expr, twin in (("complement(union(K2000:1))", "complement(K2000)"),
+                       ("union(union(K1000:1, K1000:1):1)", "union(K1000:1, K1000:1)")):
+        start = time.perf_counter()
+        out = _run(capsys, ["profile", "--t", "2", expr])
+        assert time.perf_counter() - start < 1, expr
+        assert out == _run(capsys, ["profile", "--t", "2", twin]), expr
 
 
 def test_a_lifted_union_of_graphs_is_profiled_as_their_disjoint_union(capsys):
@@ -677,18 +690,40 @@ def test_broken_pipe_exits_without_traceback():
     assert result.stderr == b""
 
 
-def test_cli_import_leaves_heavy_modules_out():
+def test_cli_import_leaves_heavy_modules_out(tmp_path):
     # value classes come from inducibility.frozen, not dataclasses (which
-    # brings inspect); only Monte Carlo needs numpy and only --cache needs
-    # hashlib, and each imports it on first use
-    code = ("import sys; before = set(sys.modules); import inducibility.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+    # brings inspect); only Monte Carlo needs numpy, and each imports it on
+    # first use.  The --cache key takes the interpreter's builtin sha256, so
+    # a cache hit loads neither hashlib nor OpenSSL's _hashlib
+    argv = ["profile", "--t", "3", "--cache", str(tmp_path), "C5"]
+    assert run_command(argv) == 0
+    code = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "import inducibility.cli\n"
+            "imported = set(sys.modules) - before\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert inducibility.cli.run_command({argv!r}) == 0\n"
+            "print(*sorted(imported))\n"
+            "print(*sorted(set(sys.modules) - before))\n")
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(), cwd=ROOT,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    added = set(result.stdout.split())
+    imported, hit = result.stdout.splitlines()
+    added = set(imported.split())
     assert "inducibility.frozen" in added
     assert not added & {"dataclasses", "inspect", "numpy", "hashlib"}
+    assert not set(hit.split()) & {"numpy", "hashlib", "_hashlib"}
+
+
+def test_a_blas_thread_count_that_is_set_is_kept(capsys, monkeypatch):
+    # numpy's OpenBLAS starts no idle worker thread at import: no command
+    # calls BLAS, so run_command asks for one thread unless told otherwise
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    _run_json(capsys, ["profile", "--t", "3", "C5"])
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    _run_json(capsys, ["profile", "--t", "3", "C5"])
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_benchmark_oracle_checks_import():

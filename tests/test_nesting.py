@@ -218,3 +218,14 @@ def test_graph_bases_check_the_order_then_loops_then_the_budget(monkeypatch):
         stationary_profile(C5, 9, budget=1)
     with pytest.raises(ValueError, match="^composition is defined over loopless outer graphs$"):
         stationary_profile(build_named("loopK", [3]), 3, budget=1)
+
+
+def test_a_cached_transition_matrix_is_charged_again(monkeypatch):
+    # a graph is charged before the cached lookup, so a lower budget refuses
+    # a matrix that a cold call would have refused too
+    C5 = build_named("C", [5])
+    F = transition_matrix(C5, 3)
+    assert transition_matrix(C5, 3) is F
+    monkeypatch.setattr(profiles, "DEFAULT_BUDGET", 5)
+    with pytest.raises(BudgetError, match="^10 subsets exceed the budget of 5$"):
+        transition_matrix(C5, 3)
