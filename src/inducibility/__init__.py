@@ -16,7 +16,7 @@ _EXPORTS = {
     "graphs": """CanonicalCode LabeledGraph blow_up build_named canonical_form complement compose
         disjoint_union from_edges graph6_decode graph6_encode graph_from_mask is_twin_free mask_of
         named_looped named_order tensor""",
-    "models": "StepModel bernoulli bipartite_random from_graph model_complement model_tensor model_union",
+    "models": "StepModel bernoulli bipartite_random from_graph model_complement model_tensor model_union support_graph",
     "profiles": """BudgetError EstimatedProfile IsoEntry IsoTable LabeledProfile ProfileVector QuantumGraph
         induced_from_repetitive induced_profile iso_table labeled_repetitive labeled_repetitive_profile
         monte_carlo_monochromatic monte_carlo_profile quantum_density repetitive_from_induced

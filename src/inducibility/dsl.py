@@ -41,6 +41,7 @@ from .models import (
     model_complement,
     model_tensor,
     model_union,
+    support_graph,
 )
 from .profiles import QuantumGraph, iso_table, MIN_ORDER, MAX_ORDER
 
@@ -272,7 +273,7 @@ _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
 OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
 
 
-Plan = namedtuple("Plan", "size looped lifted build factors merged", defaults=((), False))
+Plan = namedtuple("Plan", "size looped lifted build factors", defaults=((),))
 
 
 def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
@@ -281,11 +282,11 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
     whether labeled_repetitive takes the partition lift; a no-argument build
     that checks nothing again; and the plans of an exact tensor's factors,
     flattened, when it is `profiled` from them.  The vertex cap bounds what
-    is built, so such a tensor is not capped; a profiled lifted union of
-    graphs, or of such unions and their complements, builds as their
-    disjoint union and is `merged`: a graph, its loops possibly mixed,
-    though looped is None.  Every fault of the tree is raised here; only a
-    load leaf is read and decoded, for its order."""
+    is built, so such a tensor is not capped; a profiled lifted union builds
+    as the disjoint union of its parts' support graphs, and a complement of
+    a profiled lifted operand flips it as a graph: graphs whose loops may be
+    mixed, though looped is None.  Every fault of the tree is raised here;
+    only a load leaf is read and decoded, for its order."""
     op, args = node.op, node.args
     if op not in OPERATORS:
         return Plan(named_order(op, args), named_looped(op, args), True, lambda: build_named(op, args))
@@ -306,15 +307,16 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
             raise ValueError("union weights must be positive")
         lifted = not approx and all(p.lifted for p in parts) and len(
             {Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
-        if profiled and lifted and all(p.looped is not None or p.merged for p in parts):
+        if profiled and lifted:
             return Plan(sum(p.size for p in parts), None, True, lambda: reduce(
-                disjoint_union, [p.build() for p in parts]), merged=True)
+                disjoint_union, [support_graph(p.build()) for p in parts]))
         return Plan(sum(p.size for p in parts), None, lifted, lambda: model_union(
             [(_as_model(p.build()), w) for p, w in zip(parts, weights)]))
     if op == "complement":  # a tensor inside a complement or a union is built, so stays capped
-        n, looped, lifted, inner, _, merged = plan(args[0], approx, profiled and args[0].op != "tensor")
-        flip = complement if looped is not None or merged else model_complement
-        return Plan(n, None if looped is None else not looped, lifted, lambda: flip(inner()), merged=merged)
+        n, looped, lifted, inner, _ = plan(args[0], approx, profiled and args[0].op != "tensor")
+        graph = looped is not None or (profiled and lifted)
+        return Plan(n, None if looped is None else not looped, lifted,
+                    lambda: complement(support_graph(inner())) if graph else model_complement(inner()))
     profiled = profiled and op == "tensor" and not approx
     # blowup's count is a factor of its size, and builds as itself
     plans = [plan(a, approx, profiled) if isinstance(a, Node) else Plan(a, False, True, lambda a=a: a) for a in args]

@@ -77,6 +77,16 @@ def from_graph(G: LabeledGraph) -> StepModel:
     return StepModel(masses=(Fraction(1, n),) * n, w=w)
 
 
+def support_graph(source) -> LabeledGraph:
+    """Inverse of from_graph: a graph as it is, an exact 0/1 uniform-mass
+    model as the graph of its 1 entries, diagonal ones mapping to loops."""
+    if isinstance(source, LabeledGraph):
+        return source
+    if not (source.exact and source.is_zero_one() and source.has_uniform_masses()):
+        raise ValueError("only an exact 0/1 model with uniform masses has a support graph")
+    return LabeledGraph(source.k, tuple(sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w))
+
+
 def bernoulli(p) -> StepModel:
     """One type; every pair is an edge independently with probability p."""
     q = p if isinstance(p, float) else Fraction(p)

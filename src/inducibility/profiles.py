@@ -28,7 +28,7 @@ from .graphs import (
     graph_from_mask,
     mask_of,
 )
-from .models import APPROX_TOL, StepModel, is_exact
+from .models import APPROX_TOL, StepModel, is_exact, support_graph
 
 MIN_ORDER = 2
 MAX_ORDER = 5
@@ -494,10 +494,7 @@ def labeled_repetitive(source, t: int, budget: int | None = None) -> LabeledProf
     if not lifted:
         numerators, denominator = _repetitive_by_assignments(source, t)
     else:
-        G = source
-        if isinstance(source, StepModel):
-            rows = (sum(1 << j for j, p in enumerate(row) if p == 1) for row in source.w)
-            G = LabeledGraph(source.k, tuple(rows))
+        G = support_graph(source)
         numerators, denominator = partition_lift(t, ordered_counts(G, t)), G.n ** t
     return LabeledProfile(t=t, flavor="r", values=divide(numerators, denominator))
 

@@ -650,10 +650,13 @@ def test_graphs_stay_graphs(capsys, monkeypatch):
         payload = _run_json(capsys, argv)
         assert [Fraction(int(v["num"]), int(v["den"])) for v in payload["values"]] == [
             Fraction(v) for v in values.split()], argv
-    # a union under a complement or inside a union stays a graph too; as a
-    # dense model each of these took several seconds
+    # a union under a complement or inside a union stays a graph too, and so
+    # does one with a random part at 0 or 1; as a dense model each of these
+    # took one to several seconds
     for expr, twin in (("complement(union(K2000:1))", "complement(K2000)"),
-                       ("union(union(K1000:1, K1000:1):1)", "union(K1000:1, K1000:1)")):
+                       ("union(union(K1000:1, K1000:1):1)", "union(K1000:1, K1000:1)"),
+                       ("union(K2000:1, bernoulli(1):1/2000)", "union(K2000:1, loopK1:1/2000)"),
+                       ("complement(union(K1000:1, bipartite(0):1/500))", "complement(union(K1000:1, A2:1/500))")):
         start = time.perf_counter()
         out = _run(capsys, ["profile", "--t", "2", expr])
         assert time.perf_counter() - start < 1, expr

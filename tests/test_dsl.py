@@ -115,6 +115,16 @@ def _bounded(build, size):
     return guarded
 
 
+def _dense_guard():
+    """dsl's dense builders patched to raise _TooLarge past 256 types."""
+    return mock.patch.multiple(
+        dsl,
+        from_graph=_bounded(models.from_graph, lambda G: G.n),
+        model_union=_bounded(models.model_union, lambda p: sum(M.k for M, _ in p)),
+        model_tensor=_bounded(models.model_tensor, lambda A, B: A.k * B.k),
+    )
+
+
 @settings(max_examples=200)
 @given(st.booleans(), st.integers(0, 4).flatmap(_trees))
 @example(False, parse_expr("union(K2:1, K3:1)"))  # masses 1/4 and 1/6: not lifted
@@ -125,10 +135,7 @@ def _bounded(build, size):
 def test_shape_agrees_with_what_evaluate_builds(approx, node):
     # the built object is the oracle; products are capped at 4096 vertices
     # and dense models at 256 types, so that every example builds quickly
-    with mock.patch.object(graphs, "MAX_VERTICES", 4096), \
-            mock.patch.object(dsl, "from_graph", _bounded(models.from_graph, lambda G: G.n)), \
-            mock.patch.object(dsl, "model_union", _bounded(models.model_union, lambda p: sum(M.k for M, _ in p))), \
-            mock.patch.object(dsl, "model_tensor", _bounded(models.model_tensor, lambda A, B: A.k * B.k)):
+    with mock.patch.object(graphs, "MAX_VERTICES", 4096), _dense_guard():
         try:
             built = evaluate(node, approx)
         except _TooLarge:

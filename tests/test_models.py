@@ -13,6 +13,7 @@ from inducibility.models import (
     model_complement,
     model_tensor,
     model_union,
+    support_graph,
 )
 from inducibility.profiles import LabeledProfile, ProfileVector, labeled_repetitive, repetitive_profile
 from inducibility.spectral import SpectralProfile, model_spectrum
@@ -42,6 +43,18 @@ def test_from_graph_copies_adjacency():
     assert M.is_zero_one() and M.has_uniform_masses() and M.exact
     looped = from_graph(from_edges(2, [(0, 1)], loops=[0]))
     assert looped.w[0][0] == 1 and looped.w[1][1] == 0
+
+
+def test_support_graph_inverts_from_graph():
+    G = from_edges(3, [(0, 1), (1, 2)], loops=[2])
+    assert support_graph(G) is G
+    assert support_graph(from_graph(G)) == G
+    assert support_graph(bipartite_random(Fraction(1))) == from_edges(2, [(0, 1)])
+    assert support_graph(model_complement(bernoulli(Fraction(0)))) == from_edges(1, [], loops=[0])
+    unequal = model_union([(bernoulli(Fraction(1)), 1), (bernoulli(Fraction(1)), 2)])
+    for M in (bernoulli(Fraction(1, 2)), bernoulli(1.0), unequal):
+        with pytest.raises(ValueError, match="support graph"):
+            support_graph(M)
 
 
 def test_bernoulli_and_exactness():

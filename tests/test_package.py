@@ -23,8 +23,8 @@ PUBLIC = set("""
     model_complement model_spectrum model_tensor model_union monte_carlo_monochromatic monte_carlo_profile
     named_looped named_order nested_spectral parse_expr parse_factors parse_quantum print_expr
     product_limit_density quantum_density quantum_functional repetitive_from_induced repetitive_of
-    repetitive_profile reproduce_table run_row solve_rational_kernel spectral_product stationary_profile tensor
-    transition_matrix __version__
+    repetitive_profile reproduce_table run_row solve_rational_kernel spectral_product stationary_profile
+    support_graph tensor transition_matrix __version__
 """.split())
 
 
@@ -54,7 +54,7 @@ def test_every_public_name_is_its_submodule_object():
 
 def test_public_names_are_pinned():
     names = _run("import json, inducibility; print(json.dumps(inducibility.__all__))")
-    assert len(names) == len(PUBLIC) == 74
+    assert len(names) == len(PUBLIC) == 75
     assert set(names) == PUBLIC
 
 

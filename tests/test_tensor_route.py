@@ -1,9 +1,10 @@
 """Exact tensors profiled from their factors against the built products:
 graphs.tensor or models.model_tensor, then labeled_repetitive or
 induced_profile, and as nested bases, the transition matrix and stationary
-profile of the built product.  Also the inverted partition lift against
-the subset counter, and the integer convolution against the Fraction
-transforms."""
+profile of the built product.  Exact trees of unions and complements,
+profiled through their parts' support graphs, against the dense models
+that evaluate builds.  Also the inverted partition lift against the subset
+counter, and the integer convolution against the Fraction transforms."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from inducibility import dsl
 from inducibility.catalog import _nested_base, density, induced_of, repetitive_of
-from inducibility.dsl import Node, evaluate, print_expr
+from inducibility.dsl import Node, evaluate, parse_expr, plan, print_expr
 from inducibility.graphs import LabeledGraph, build_named, from_edges, graph6_encode, named_looped
 from inducibility.masks import pair_slots
 from inducibility.nesting import DegenerateStationaryError, stationary_profile, transition_matrix
@@ -31,6 +32,7 @@ from inducibility.profiles import (
     repetitive_cost,
 )
 from inducibility.spectral import convolve, fourier, inverse_fourier, spectral_product
+from test_dsl import _TooLarge, _dense_guard
 
 MAX_WORK = 20000  # the most subsets or assignments the built route may count
 
@@ -217,3 +219,47 @@ def test_named_leaves_are_profiled_as_built():
                 assert induced_of(node, t) == induced_profile(G, t)
             else:
                 assert _error(lambda: induced_of(node, t)) == _error(lambda: induced_profile(G, t))
+
+
+def _unions(parts):
+    """One to three weighted parts; in half the examples every type weighs
+    the same, so that the union is lifted when its parts are."""
+    return st.tuples(st.lists(st.tuples(parts, _WEIGHTS), min_size=1, max_size=3), st.booleans()).map(
+        lambda a: Node("union", tuple((e, a[0][0][1] * plan(e).size if a[1] else w) for e, w in a[0])))
+
+
+# small graphs, random leaves at 0, at 1 and at a fraction, and a small
+# tensor, under complements and unions of unions
+_LEAVES = st.one_of(
+    _GRAPHS,
+    st.tuples(st.sampled_from(["bernoulli", "bipartite"]),
+              st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), _PROBABILITIES)).map(
+        lambda a: Node(a[0], (a[1],))),
+    st.lists(_SMALL, min_size=2, max_size=2).map(lambda fs: Node("tensor", tuple(fs))),
+)
+_TREES = st.recursive(
+    _LEAVES, lambda children: st.one_of(children.map(lambda e: Node("complement", (e,))), _unions(children)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_unions(_TREES), _TREES.map(lambda e: Node("complement", (e,)))))
+@example(parse_expr("union(tensor(K3, bernoulli(1)):1, C5:5/3)"))
+@example(parse_expr("complement(union(K2:1, bipartite(0):1))"))
+@example(parse_expr("union(union(K2:1, bernoulli(1):1/2):1, bipartite(1):2/3)"))
+def test_lifted_unions_are_profiled_as_the_built_models(node):
+    # the dense model that evaluate builds is the oracle; a profiled lifted
+    # union, or the complement of a lifted operand, builds a graph instead
+    try:
+        with _dense_guard():
+            built, profiled = evaluate(node), plan(node, profiled=True)
+            for t in range(2, 5):
+                if repetitive_cost(_size(built), profiled.lifted, t)[0] <= MAX_WORK:
+                    assert repetitive_of(node, t) == labeled_repetitive(built, t)
+            if profiled.lifted:
+                assert isinstance(profiled.build(), LabeledGraph)
+    except _TooLarge:
+        return
+    finally:
+        dsl.LOADED.clear()
