@@ -196,13 +196,6 @@ def _nested(p, t: int, budget: int | None):
     return (p.size, _profile(p, t, budget)) if p.factors else p.build()
 
 
-def _nested_base(expr: str, t: int, approx: bool, message: str, budget: int | None = None):
-    """A nested base, charged as repetitive_of charges it, by _nested."""
-    p = _loopless(parse_expr(expr), t, approx, message)
-    _charge([p], t, budget)
-    return _nested(p, t, budget)
-
-
 def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None = None):
     """Repetitive density of Q in the limit of a construction.  The budget
     bounds the work of each route; None means profiles.DEFAULT_BUDGET."""
@@ -211,8 +204,9 @@ def density(Q: QuantumGraph, expr: str, approx: bool = False, budget: int | None
 
 def nested_profile(expr: str, t: int, approx: bool = False, budget: int | None = None):
     """Stationary t-profile of the nested composition of a graph construction."""
-    base = _nested_base(expr, t, approx, "nested profiles need a loopless graph construction", budget)
-    return stationary_profile(base, t, budget).profile
+    p = _loopless(parse_expr(expr), t, approx, "nested profiles need a loopless graph construction")
+    _charge([p], t, budget)
+    return stationary_profile(_nested(p, t, budget), t, budget).profile
 
 
 def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: bool = False,
@@ -221,8 +215,7 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
     comma-separated factors and of the nested composition of `nested`,
     every input charged as one factor of one product before any is built."""
     plans = [plan(node, approx, profiled=True) for node in (parse_factors(factors) if factors else ())]
-    message = "the nested factor must be a loopless graph"
-    base = [_loopless(parse_expr(nested), Q.t, approx, message)] if nested else []
+    base = [_loopless(parse_expr(nested), Q.t, approx, "the nested factor must be a loopless graph")] if nested else []
     _charge(plans + base, Q.t, budget)
     spectra = [fourier(_profile(p, Q.t, budget)) for p in plans]
     spectra += [nested_spectral(_nested(p, Q.t, budget), Q.t, budget) for p in base]

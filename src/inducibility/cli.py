@@ -251,7 +251,7 @@ def _cache_key(args) -> str:
     for name in ("t", "flavor", "samples", "seed", "which", "graph6"):
         if hasattr(args, name) and getattr(args, name) is not None:
             parts.append(f"{name}={getattr(args, name)}")
-    if getattr(args, "approx", False):
+    if args.approx and args.command not in ("bounds", "tables", "convert"):  # which ignore it
         parts.append("approx=1")
     if getattr(args, "quantum", None):
         parts.append(f"quantum={parse_quantum(args.quantum, args.t).describe()}")

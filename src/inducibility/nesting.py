@@ -24,7 +24,6 @@ from .profiles import (
     clear_denominators,
     divide,
     iso_table,
-    labeled_repetitive,
     ordered_counts,
     ordered_from_repetitive,
     partition_lift,
@@ -37,21 +36,24 @@ class DegenerateStationaryError(RuntimeError):
     """The fixed-point space of the nesting map is not one dimensional."""
 
 
-def _base(G, t: int, budget: int | None = None) -> tuple:
-    """A hashable base pair: (n, labeled repetitive t-profile) as it is, or
-    (n, G) for a loopless graph G once its order is checked and it is charged."""
-    if not isinstance(G, LabeledGraph):
+def _base(G, t: int, budget: int | None = None):
+    """The one intake; its result is the cache key.  A loopless LabeledGraph is checked and charged
+    as labeled_repetitive charges it; an (n, labeled repetitive profile) pair is left as it is."""
+    if isinstance(G, LabeledGraph):
+        if not G.is_loopless:
+            raise ValueError("composition is defined over loopless outer graphs")
+        charge(*repetitive_cost(G.n, True, t), budget)
         return G
-    if not G.is_loopless:
-        raise ValueError("composition is defined over loopless outer graphs")
-    charge(*repetitive_cost(G.n, True, t), budget)
-    return G.n, G
+    if isinstance(G, tuple) and len(G) == 2 and isinstance(G[0], int) and isinstance(G[1], LabeledProfile):
+        return G
+    raise TypeError("a nesting base is a loopless LabeledGraph or an (n, LabeledProfile) pair")
 
 
-def _ordered(G, t: int) -> tuple:
-    """The one intake: n and the ordered counts N_1..N_t of a graph, or read back from a profile."""
-    n, source = _base(G, t)
-    return n, ordered_counts(source, t) if isinstance(source, LabeledGraph) else ordered_from_repetitive(source, n)
+def _ordered(base, t: int) -> tuple:
+    """n and the ordered counts N_1..N_t of a checked base: counted in a graph, or read back from a profile."""
+    if isinstance(base, LabeledGraph):
+        return base.n, ordered_counts(base, t)
+    return base[0], ordered_from_repetitive(base[1], base[0])
 
 
 def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:
@@ -67,20 +69,25 @@ def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:
     """
     if inner.flavor != "r":
         raise ValueError("inner profile must be repetitive")
-    t = inner.t
-    n, ordered = _ordered(G, t)
-    d, scaled = clear_denominators(inner.values)
+    return _compose(_ordered(_base(G, inner.t), inner.t), inner.t, inner.values)
+
+
+def _compose(counts: tuple, t: int, inner) -> LabeledProfile:
+    """compose_profile from a base's n and ordered counts and the inner profile's values."""
+    n, ordered = counts
+    d, scaled = clear_denominators(inner)
     nums = partition_lift(t, ordered, {mask: v for mask, v in enumerate(scaled) if v})
     return LabeledProfile(t=t, flavor="r", values=divide(nums, d * n ** t))
 
 
 def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
-    """Labeled repetitive t-profile of G composed into itself n times."""
+    """Labeled repetitive t-profile of G composed into itself n times; G's patterns are counted once."""
     if n < 1:
         raise ValueError("need at least one composition level")
-    lab = labeled_repetitive(G, t)
+    counts = _ordered(_base(G, t), t)
+    lab = _compose(counts, t, (1,))  # over a point, the blow-up limit of G
     for _ in range(n - 1):
-        lab = compose_profile(G, lab)
+        lab = _compose(counts, t, lab.values)
     return lab
 
 
@@ -105,15 +112,15 @@ class TransitionMatrix:
         return self.rows[i][j]
 
 
-def transition_matrix(G, t: int) -> TransitionMatrix:
+def transition_matrix(G, t: int, budget: int | None = None) -> TransitionMatrix:
     """Matrix F with F[i][j] = density of type i after composing G over a
     limit concentrated on type j.
 
     Column j lifts orbit j's 0/1 indicator over G's ordered counts in
     integers; entry i is its type-i mask times |orbit i| / (n^t |orbit j|).
-    A graph G is charged on every call, before the cached lookup.
+    A graph G is charged at the budget on every call, before the cached lookup.
     """
-    return _transition_matrix(_base(G, t), t)
+    return _transition_matrix(_base(G, t, budget), t)
 
 
 @lru_cache(maxsize=32)
@@ -154,7 +161,7 @@ def stationary_profile(G, t: int, budget: int | None = None) -> NestedProfile:
     patterns are counted.  Raises DegenerateStationaryError when the
     fixed-point space does not pin down a single distribution.
     """
-    F = transition_matrix(_base(G, t, budget), t)
+    F = transition_matrix(G, t, budget)
     shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(F.rows)]
     basis = solve_rational_kernel(shifted)
     if len(basis) != 1:

@@ -315,7 +315,8 @@ def test_every_budget_defaults_to_none_and_charge_decides():
     budgeted = {f.__name__: inspect.signature(f).parameters["budget"].default
                 for f in functions if inspect.isfunction(f) and "budget" in inspect.signature(f).parameters}
     assert {"induced_profile", "labeled_repetitive", "monte_carlo_profile", "model_spectrum", "stationary_profile",
-            "repetitive_of", "induced_of", "reproduce_table", "density", "limit_density", "charge"} <= set(budgeted)
+            "transition_matrix", "repetitive_of", "induced_of", "reproduce_table", "density", "limit_density",
+            "charge"} <= set(budgeted)
     assert all(default is None for default in budgeted.values()), budgeted
     profiles.charge(10 ** 9, "subsets")
     with pytest.raises(profiles.BudgetError, match="^1000000001 subsets exceed the budget of 1000000000$"):
@@ -529,6 +530,9 @@ def test_cache_keys_without_load_are_pinned():
     assert _key(["limit", "--t", "4", "--quantum", "K4", "--factors", "M4, K4, K3, K3"]) != _key(limit)
     assert _key(["limit", "--t", "4", "--quantum", "K4 + A4", "--factors", "M4, K4, K3"]) != _key(limit)
     assert _key(["profile", "--t", "3", "--approx", "C5"]) != _key(["profile", "--t", "3", "C5"])
+    # bounds, tables and convert ignore --approx, so it is not keyed there
+    for argv in (["bounds", "--t", "5"], ["tables", "--which", "exoo4"], ["convert", "--encode", "C5"]):
+        assert _key(argv + ["--approx"]) == _key(argv), argv
     # every operator and every leaf kind, in one canonical form
     every = ("union(blowup(C5, 2):0.25, compose(K2, M4, kpart(1, 2)):1, "
              "tensor(paley(5), cayley2(2; 0)):3/4, bernoulli(1/3):1, bipartite(1/2):2)")

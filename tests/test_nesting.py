@@ -165,8 +165,7 @@ def test_built_bases_enter_as_ordered_counts(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a built base was lifted or read back")
 
-    for name in ("labeled_repetitive", "ordered_from_repetitive"):
-        monkeypatch.setattr(nesting, name, refuse)
+    monkeypatch.setattr(nesting, "ordered_from_repetitive", refuse)
     monkeypatch.setattr(catalog, "_profile", refuse)
     after = [run(argv) for argv in _BUILT_BASES]
     assert after == before
@@ -212,8 +211,18 @@ def test_graph_bases_check_the_order_then_loops_then_the_budget(monkeypatch):
     transition_matrix.cache_clear()  # a cached matrix is not charged again
     with pytest.raises(BudgetError, match="^10 subsets exceed the budget of 5$"):
         transition_matrix(C5, 3)
-    # a budget above the default reaches the charge
+    # a budget above the default reaches the charge, and stationary_profile
+    # passes it through one call of the public transition_matrix
+    assert transition_matrix(C5, 3, budget=100).t == 3
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return transition_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(nesting, "transition_matrix", recorder)
     assert stationary_profile(C5, 3, budget=100).entry("K3") == Fraction(1, 8)
+    assert calls == [((C5, 3, 100), {})]
     with pytest.raises(ValueError, match="^profile order must be in 2..5$"):
         stationary_profile(C5, 9, budget=1)
     with pytest.raises(ValueError, match="^composition is defined over loopless outer graphs$"):
@@ -229,3 +238,32 @@ def test_a_cached_transition_matrix_is_charged_again(monkeypatch):
     monkeypatch.setattr(profiles, "DEFAULT_BUDGET", 5)
     with pytest.raises(BudgetError, match="^10 subsets exceed the budget of 5$"):
         transition_matrix(C5, 3)
+
+
+def test_a_base_is_a_loopless_graph_or_a_profile_pair(monkeypatch):
+    # taken as a base, a pair (n, graph) would skip the loop check, the order
+    # check and the charge: (400, K400) would count C(400, 3) subsets under a
+    # budget of 10, and (3, loopK3) would answer K3's profile.  No base other
+    # than the two forms reaches a count
+    def refuse(*args, **kwargs):
+        raise AssertionError("patterns were counted")
+
+    C5 = build_named("C", [5])
+    inner = labeled_repetitive(C5, 3)
+    monkeypatch.setattr(profiles, "_decorated_subset_counts", refuse)
+    transition_matrix.cache_clear()
+    message = r"^a nesting base is a loopless LabeledGraph or an \(n, LabeledProfile\) pair$"
+    for base, budget in (
+        ((3, build_named("loopK", [3])), None),
+        ((400, build_named("K", [400])), 10),
+        (from_graph(C5), None),
+        ("C5", None),
+    ):
+        for call in (
+            lambda: compose_profile(base, inner),
+            lambda: transition_matrix(base, 3, budget=budget),
+            lambda: stationary_profile(base, 3, budget=budget),
+            lambda: nested_spectral(base, 3, budget=budget),
+        ):
+            with pytest.raises(TypeError, match=message):
+                call()

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inducibility import dsl
-from inducibility.catalog import _nested_base, density, induced_of, repetitive_of
+from inducibility.catalog import _loopless, _nested, density, induced_of, repetitive_of
 from inducibility.dsl import Node, evaluate, parse_expr, plan, print_expr
 from inducibility.graphs import LabeledGraph, build_named, from_edges, graph6_encode, named_looped
 from inducibility.masks import pair_slots
@@ -158,7 +158,8 @@ def test_nested_tensor_bases_match_the_built_product(node, t):
     try:
         product = evaluate(node)
         t = max(u for u in range(2, t + 1) if repetitive_cost(product.n, True, u)[0] <= MAX_WORK)
-        base = _outcome(lambda: _nested_base(print_expr(node), t, False, "nested profiles need a graph"))
+        base = _outcome(lambda: _nested(
+            _loopless(parse_expr(print_expr(node)), t, False, "nested profiles need a graph"), t, None))
     finally:
         dsl.LOADED.clear()
     if not product.is_loopless:
