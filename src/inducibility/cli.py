@@ -137,10 +137,8 @@ def _run_profile(args) -> dict:
         lab = repetitive_of(node, args.t, args.approx, budget=args.budget)
         if args.flavor == "repetitive":
             values = lab.to_unlabeled().values
-        elif args.flavor == "labeled":
-            values = tuple(lab.values[e.rep_mask] for e in iso_table(args.t).entries)
         else:
-            values = fourier(lab).type_values()
+            values = (lab if args.flavor == "labeled" else fourier(lab)).type_values()
     names = iso_table(args.t).type_names()
     return _profile_payload(f"profile:{args.flavor}", args.t, names, values, args)
 

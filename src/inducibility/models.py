@@ -23,8 +23,8 @@ APPROX_TOL = 1e-9  # float comparisons of approximate models, profiles and table
 
 
 def is_exact(values) -> bool:
-    """True when none of the numbers is a float: exact models and profiles
-    hold integers and Fractions, and one float makes them approximate."""
+    """True when none of a model's or an unlabeled profile's numbers is a
+    float; a labeled or spectral profile is exact by its denominator."""
     return not any(isinstance(v, float) for v in values)
 
 

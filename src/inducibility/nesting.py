@@ -21,8 +21,6 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     charge,
-    clear_denominators,
-    divide,
     iso_table,
     ordered_counts,
     ordered_from_repetitive,
@@ -38,13 +36,18 @@ class DegenerateStationaryError(RuntimeError):
 
 def _base(G, t: int, budget: int | None = None):
     """The one intake; its result is the cache key.  A loopless LabeledGraph is checked and charged
-    as labeled_repetitive charges it; an (n, labeled repetitive profile) pair is left as it is."""
+    as labeled_repetitive charges it; an (n, labeled repetitive profile) pair is checked for an int
+    n >= 1 and a profile of order t, and its counts are read back by ordered_from_repetitive."""
     if isinstance(G, LabeledGraph):
         if not G.is_loopless:
             raise ValueError("composition is defined over loopless outer graphs")
         charge(*repetitive_cost(G.n, True, t), budget)
         return G
-    if isinstance(G, tuple) and len(G) == 2 and isinstance(G[0], int) and isinstance(G[1], LabeledProfile):
+    if isinstance(G, tuple) and len(G) == 2 and isinstance(G[1], LabeledProfile):
+        if type(G[0]) is not int or G[0] < 1:
+            raise ValueError("the n of an (n, LabeledProfile) base must be an int of at least 1")
+        if G[1].t != t:
+            raise ValueError(f"the profile of an (n, LabeledProfile) base must have order {t}")
         return G
     raise TypeError("a nesting base is a loopless LabeledGraph or an (n, LabeledProfile) pair")
 
@@ -63,21 +66,19 @@ def compose_profile(G, inner: LabeledProfile) -> LabeledProfile:
     Sampled vertices sharing an outer coordinate form the parts of a
     partition; cross-part adjacency follows an ordered pattern of distinct
     vertices of G, while within-part adjacency marginalizes the inner
-    profile.  The inner profile is cleared to integers over one
-    denominator d (floats stay as they are under d = 1.0), and the lift is
-    divided once by d * n^t.
+    profile.  The inner profile's numerators are lifted, over its
+    denominator d times n^t.
     """
     if inner.flavor != "r":
         raise ValueError("inner profile must be repetitive")
-    return _compose(_ordered(_base(G, inner.t), inner.t), inner.t, inner.values)
+    return _compose(_ordered(_base(G, inner.t), inner.t), inner)
 
 
-def _compose(counts: tuple, t: int, inner) -> LabeledProfile:
-    """compose_profile from a base's n and ordered counts and the inner profile's values."""
+def _compose(counts: tuple, inner: LabeledProfile) -> LabeledProfile:
+    """compose_profile from a base's n and ordered counts and the inner profile."""
     n, ordered = counts
-    d, scaled = clear_denominators(inner)
-    nums = partition_lift(t, ordered, {mask: v for mask, v in enumerate(scaled) if v})
-    return LabeledProfile(t=t, flavor="r", values=divide(nums, d * n ** t))
+    nums = partition_lift(inner.t, ordered, {mask: v for mask, v in enumerate(inner.numerators) if v})
+    return LabeledProfile(inner.t, "r", nums, inner.denominator * n ** inner.t)
 
 
 def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
@@ -85,9 +86,9 @@ def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
     if n < 1:
         raise ValueError("need at least one composition level")
     counts = _ordered(_base(G, t), t)
-    lab = _compose(counts, t, (1,))  # over a point, the blow-up limit of G
+    lab = LabeledProfile(t, "r", partition_lift(t, counts[1]), counts[0] ** t)  # the blow-up limit of G
     for _ in range(n - 1):
-        lab = _compose(counts, t, lab.values)
+        lab = _compose(counts, lab)
     return lab
 
 

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from . import masks
 from .frozen import frozen
@@ -137,16 +137,12 @@ def iso_table(t: int) -> IsoTable:
     return IsoTable(t=t, entries=tuple(entries), index=index, names=name_map)
 
 
-def _validate_distribution(values, what: str) -> list:
-    """Check that values are a distribution; return them cleared of
-    denominators (clear_denominators), as integers when exact."""
-    tol = 0 if is_exact(values) else APPROX_TOL
-    d, values = clear_denominators(values)
-    if abs(sum(values) - d) > tol:
+def _check_distribution(numerators, denominator, tol, what: str) -> None:
+    """Refuse numerators over a denominator that are not a distribution to within tol."""
+    if abs(sum(numerators) - denominator) > tol:
         raise ValueError(f"{what} must sum to one")
-    if any(v < -tol for v in values):
+    if any(v < -tol for v in numerators):
         raise ValueError(f"{what} must be nonnegative")
-    return values
 
 
 @frozen
@@ -162,7 +158,7 @@ class ProfileVector:
             raise ValueError("flavor must be induced or repetitive")
         if len(self.values) != len(iso_table(self.t).entries):
             raise ValueError("value count does not match the type table")
-        _validate_distribution(self.values, "profile entries")
+        _check_distribution(self.values, 1, 0 if self.exact else APPROX_TOL, "profile entries")
 
     @property
     def exact(self) -> bool:
@@ -179,41 +175,62 @@ class ProfileVector:
             for mask in e.orbit:
                 out[mask] = share
         flavor = "p" if self.flavor == "induced" else "r"
-        return LabeledProfile(t=self.t, flavor=flavor, values=tuple(out))
+        return LabeledProfile(t=self.t, flavor=flavor, numerators=tuple(out))
 
 
-def check_orbits(t: int, scaled, tol, what: str) -> None:
-    """Refuse mask-indexed values, cleared of denominators, that differ by more than tol on an orbit."""
-    for e in iso_table(t).entries:
-        ref = scaled[e.rep_mask]
-        if any(scaled[m] != ref and abs(scaled[m] - ref) > tol for m in e.orbit):
-            raise ValueError(f"{what} is not constant on orbits")
+class OverOneDenominator:
+    """Mask-indexed numerators over one denominator, the fields that
+    LabeledProfile and SpectralProfile share, reduced once on construction;
+    the values that they stand for are divided on first use."""
+
+    def _reduce(self, what: str) -> float:
+        """Check the length, write the pair back reduced (clear_denominators)
+        where it differs from what was passed, and refuse numerators that are
+        not constant on orbits; return the tolerance of the checks that follow."""
+        nums, den = self.numerators, self.denominator
+        if len(nums) != 1 << masks.slot_count(self.t):
+            raise ValueError("value count does not match the mask space")
+        d, scaled = clear_denominators(nums, den)
+        if {type(nums), type(den), *map(type, nums)} != {tuple, type(d)} or (scaled, d) != (nums, den):
+            self.__dict__.update(numerators=scaled, denominator=d)
+        tol = 0 if self.exact else APPROX_TOL
+        for e in iso_table(self.t).entries:
+            ref = self.numerators[e.rep_mask]
+            if any(self.numerators[m] != ref and abs(self.numerators[m] - ref) > tol for m in e.orbit):
+                raise ValueError(f"{what} is not constant on orbits")
+        return tol
+
+    @property
+    def exact(self) -> bool:
+        return not isinstance(self.denominator, float)
+
+    @cached_property
+    def values(self) -> tuple:
+        return divide(self.numerators, self.denominator)
+
+    def type_values(self) -> tuple:
+        """The value at each type's representative mask, in iso_table order."""
+        return divide([self.numerators[e.rep_mask] for e in iso_table(self.t).entries], self.denominator)
 
 
 @frozen
-class LabeledProfile:
-    """Density per labeled graph, indexed by edge-slot mask."""
+class LabeledProfile(OverOneDenominator):
+    """Density per labeled graph, indexed by edge-slot mask, as numerators
+    over one denominator."""
 
     t: int
     flavor: str
-    values: tuple
+    numerators: tuple
+    denominator: int = 1
 
     def __post_init__(self):
         if self.flavor not in ("p", "r"):
             raise ValueError("labeled flavor must be p or r")
-        if len(self.values) != 1 << masks.slot_count(self.t):
-            raise ValueError("value count does not match the mask space")
-        # exact entries are compared as integers over one denominator
-        scaled = _validate_distribution(self.values, "labeled entries")
-        check_orbits(self.t, scaled, 0 if self.exact else APPROX_TOL, "labeled profile")
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.values)
+        tol = self._reduce("labeled profile")
+        _check_distribution(self.numerators, self.denominator, tol, "labeled entries")
 
     def to_unlabeled(self) -> ProfileVector:
-        table = iso_table(self.t)
-        vals = tuple(self.values[e.rep_mask] * e.orbit_size for e in table.entries)
+        vals = tuple(v * e.orbit_size for v, e in zip(self.type_values(), iso_table(self.t).entries))
         flavor = "induced" if self.flavor == "p" else "repetitive"
         return ProfileVector(t=self.t, flavor=flavor, values=vals)
 
@@ -455,13 +472,16 @@ def partition_lift(t: int, ordered: dict, inner=None) -> list:
     return out
 
 
-def clear_denominators(values) -> tuple:
-    """The lcm d of the denominators and the values times d, as integers;
-    floats stay as they are under d = 1.0, so they round as unscaled."""
-    if not is_exact(values):
-        return 1.0, list(values)
+def clear_denominators(values, denominator=1) -> tuple:
+    """The lowest positive d and the integers over d that equal the values
+    over `denominator`; floats are divided once and kept over d = 1.0, so
+    they round as divide rounds them."""
+    if not is_exact(values) or isinstance(denominator, float):
+        return 1.0, tuple(v / denominator for v in values)
     d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    scaled = [v.numerator * (d // v.denominator) for v in values]
+    g = math.gcd(d * denominator, *scaled)
+    return d * denominator // g, tuple(v // g for v in scaled)
 
 
 def divide(numerators, denominator: int) -> tuple:
@@ -492,11 +512,9 @@ def labeled_repetitive(source, t: int, budget: int | None = None) -> LabeledProf
     lifted = graph or (source.exact and source.is_zero_one() and source.has_uniform_masses())
     charge(*repetitive_cost(source.n if graph else source.k, lifted, t), budget)
     if not lifted:
-        numerators, denominator = _repetitive_by_assignments(source, t)
-    else:
-        G = support_graph(source)
-        numerators, denominator = partition_lift(t, ordered_counts(G, t)), G.n ** t
-    return LabeledProfile(t=t, flavor="r", values=divide(numerators, denominator))
+        return LabeledProfile(t, "r", *_repetitive_by_assignments(source, t))
+    G = support_graph(source)
+    return LabeledProfile(t, "r", partition_lift(t, ordered_counts(G, t)), G.n ** t)
 
 
 def labeled_repetitive_profile(M: StepModel, t: int, budget: int | None = None) -> LabeledProfile:
@@ -528,21 +546,20 @@ def repetitive_from_induced(P: ProfileVector, s: int, t: int) -> ProfileVector:
     so the ordered ell-pattern counts are s(s-1)...(s-ell+1) times the
     marginal of P's labeled profile on the first ell vertices, and their
     partition lift is the repetitive profile times s^t.  P need not come
-    from an actual graph: its labeled profile is cleared to integers over
-    one denominator d, and the lift is divided once by d * s^t."""
+    from an actual graph: the lift of its labeled profile's numerators is
+    over d * s^t, with d their one denominator."""
     if P.flavor != "induced":
         raise ValueError("expected an induced profile")
     if t != P.t:
         raise ValueError("order mismatch")
     if s < t:
         raise ValueError("source graph must have at least t vertices")
-    d, scaled = clear_denominators(P.as_labeled().values)
+    lab = P.as_labeled()
     ordered = {
-        ell: {(mask, 0): v * math.perm(s, ell) for mask, v in enumerate(_marginal(scaled, t, ell)) if v}
+        ell: {(mask, 0): v * math.perm(s, ell) for mask, v in enumerate(_marginal(lab.numerators, t, ell)) if v}
         for ell in range(1, t + 1)
     }
-    values = divide(partition_lift(t, ordered), d * s ** t)
-    return LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
+    return LabeledProfile(t, "r", partition_lift(t, ordered), lab.denominator * s ** t).to_unlabeled()
 
 
 def ordered_from_repetitive(lab: LabeledProfile, s: int) -> dict:
@@ -551,15 +568,14 @@ def ordered_from_repetitive(lab: LabeledProfile, s: int) -> dict:
     them, read back from its exact labeled repetitive t-profile r_t.  With
     r_ell the marginal of r_t on the first ell positions, s^ell * r_ell is
     N_ell plus the partition lift of N_1 .. N_(ell-1), so the N_ell come out
-    in turn, each a nonnegative integer once r_t is cleared to integers over
-    its one denominator d.  Loops would enter the lift; the caller checks
-    there are none."""
+    in turn, each a nonnegative integer from r_t's numerators over its one
+    denominator d.  Loops would enter the lift; the caller checks there
+    are none."""
     if lab.flavor != "r":
         raise ValueError("expected a labeled repetitive profile")
     if not lab.exact:
         raise ValueError("ordered counts are read back from exact profiles only")
-    t = lab.t
-    d, scaled = clear_denominators(lab.values)
+    t, d, scaled = lab.t, lab.denominator, lab.numerators
     ordered: dict = {}
     for ell in range(1, min(s, t) + 1):
         scale = s ** ell

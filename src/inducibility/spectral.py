@@ -14,12 +14,11 @@ from functools import reduce
 
 from . import masks
 from .frozen import frozen
-from .models import APPROX_TOL, is_exact
 from .profiles import (
     LabeledProfile,
+    OverOneDenominator,
     ProfileVector,
     QuantumGraph,
-    check_orbits,
     clear_denominators,
     divide,
     iso_table,
@@ -50,37 +49,27 @@ def fwht_inverse(values) -> list:
 
 
 @frozen
-class SpectralProfile:
-    """Transform of a labeled repetitive profile, indexed by edge-slot mask.
+class SpectralProfile(OverOneDenominator):
+    """Transform of a labeled repetitive profile, indexed by edge-slot mask,
+    as numerators over one denominator.
 
     The empty mask always carries 1 (total mass) and every value lies in
     [-1, 1]; values are constant on isomorphism orbits.
     """
 
     t: int
-    values: tuple
+    numerators: tuple
+    denominator: int = 1
 
     def __post_init__(self):
-        if len(self.values) != 1 << masks.slot_count(self.t):
-            raise ValueError("value count does not match the mask space")
-        tol = 0 if self.exact else APPROX_TOL
-        # exact values are compared as integers over one denominator d
-        d, scaled = clear_denominators(self.values)
-        if abs(scaled[0] - d) > tol:
+        tol = self._reduce("spectrum")
+        if abs(self.numerators[0] - self.denominator) > tol:
             raise ValueError("spectrum of a unit-mass profile must start at one")
-        if any(abs(v) > d + tol for v in scaled):
+        if any(abs(v) > self.denominator + tol for v in self.numerators):
             raise ValueError("spectral values must lie in [-1, 1]")
-        check_orbits(self.t, scaled, tol, "spectrum")
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.values)
 
     def entry(self, key):
-        return self.values[iso_table(self.t).entries[iso_table(self.t).type_index(key)].rep_mask]
-
-    def type_values(self) -> tuple:
-        return tuple(self.values[e.rep_mask] for e in iso_table(self.t).entries)
+        return self.type_values()[iso_table(self.t).type_index(key)]
 
 
 def _as_labeled_r(profile) -> LabeledProfile:
@@ -93,58 +82,53 @@ def _as_labeled_r(profile) -> LabeledProfile:
     return profile
 
 
-def _scaled_transform(values) -> tuple:
-    """The lcm d of the denominators and the transform of the values times d,
-    in integers; floats stay as they are under d = 1.0 (clear_denominators)."""
-    d, scaled = clear_denominators(values)
-    return d, fwht_forward(scaled)
-
-
 def fourier(profile) -> SpectralProfile:
-    """Transform of a repetitive profile (labeled or by-type), in integers."""
+    """Transform of a repetitive profile (labeled or by-type): its
+    numerators transformed, over its denominator."""
     lab = _as_labeled_r(profile)
-    d, hat = _scaled_transform(lab.values)
-    return SpectralProfile(t=lab.t, values=divide(hat, d))
+    return SpectralProfile(lab.t, fwht_forward(lab.numerators), lab.denominator)
 
 
 def inverse_fourier(spectrum: SpectralProfile) -> LabeledProfile:
-    vals = fwht_inverse(spectrum.values)
-    return LabeledProfile(t=spectrum.t, flavor="r", values=tuple(vals))
+    nums = fwht_forward(spectrum.numerators)
+    return LabeledProfile(spectrum.t, "r", nums, spectrum.denominator * len(nums))
 
 
 def spectral_product(*spectra: SpectralProfile) -> SpectralProfile:
-    """Pointwise product, the spectrum of the tensor product of models."""
+    """Pointwise product, the spectrum of the tensor product of models: of the
+    numerators, over the product of the denominators, or of the values when
+    one is a float, so that a Fraction times a float rounds once."""
     if not spectra:
         raise ValueError("need at least one spectrum")
     t = spectra[0].t
     if any(s.t != t for s in spectra):
         raise ValueError("order mismatch among spectra")
-    out = list(spectra[0].values)
-    for s in spectra[1:]:
-        out = [a * b for a, b in zip(out, s.values)]
-    return SpectralProfile(t=t, values=tuple(out))
+    exact = all(s.exact for s in spectra)
+    out, denominator = [1] * len(spectra[0].numerators), 1
+    for s in spectra:
+        out = [a * b for a, b in zip(out, s.numerators if exact else s.values)]
+        denominator *= s.denominator if exact else 1
+    return SpectralProfile(t, out, denominator)
 
 
 def convolve(*profiles) -> LabeledProfile:
     """Labeled repetitive profile of the tensor product of the sources.
 
-    Exact profiles are transformed as integers over their denominators:
-    the transform of the pointwise product of their transforms is the xor
-    convolution times the mask count, so one division ends it.  Floats
-    stay as they are under denominator 1.0 (clear_denominators), so they
-    round as the inverse transform of spectral_product rounds them."""
+    The numerators are transformed over their denominators: the transform
+    of the pointwise product of their transforms is the xor convolution
+    times the mask count, so one division ends it.  Floats are numerators
+    over 1.0, so they round as the inverse transform of spectral_product
+    rounds them."""
     labs = [_as_labeled_r(p) for p in profiles]
     if not labs:
         raise ValueError("need at least one spectrum")
     if any(lab.t != labs[0].t for lab in labs):
         raise ValueError("order mismatch among spectra")
-    product, denominator = None, 1
+    product, denominator = [1] * len(labs[0].numerators), 1
     for lab in labs:
-        d, hat = _scaled_transform(lab.values)
-        product = hat if product is None else [a * b for a, b in zip(product, hat)]
-        denominator *= d
-    values = divide(fwht_forward(product), denominator * len(product))
-    return LabeledProfile(t=labs[0].t, flavor="r", values=values)
+        product = [a * b for a, b in zip(product, fwht_forward(lab.numerators))]
+        denominator *= lab.denominator
+    return LabeledProfile(labs[0].t, "r", fwht_forward(product), denominator * len(product))
 
 
 def model_spectrum(source, t: int, budget: int | None = None) -> SpectralProfile:
@@ -166,7 +150,8 @@ def quantum_functional(Q: QuantumGraph) -> tuple:
     for idx, coeff in Q.coefficients:
         for mask in table.entries[idx].orbit:
             indicator[mask] += Fraction(coeff)
-    d, hat = _scaled_transform(indicator)
+    d, scaled = clear_denominators(indicator)
+    hat = fwht_forward(scaled)
     return tuple(Fraction(e.orbit_size * hat[e.rep_mask], size * d) for e in table.entries)
 
 

@@ -4,10 +4,11 @@ Gauss-Jordan elimination, the bit-by-bit graph routines that the
 block-swap transpose and the translated cayley2 rows replaced, the
 partition lift expanded bit by bit with the routes over it in Fractions,
 the Monte Carlo sampler that drew each batch whole, the subset counter
-that counts the last vertex a class at a time in increasing order, and
-stdlib dataclass twins of the value classes that `inducibility.frozen`
-makes.  They share no arithmetic with the package; the lift routes take
-their pattern counts from its counter, and the sampler reads its packed
+that counts the last vertex a class at a time in increasing order,
+exact arithmetic in Q(sqrt 3) with Lagrange interpolation, and stdlib
+dataclass twins of the value classes that `inducibility.frozen` makes.
+They share no arithmetic with the package; the lift routes take their
+pattern counts from its counter, and the sampler reads its packed
 adjacency."""
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def compose_profile(G, inner):
     t = inner.t
     weights = {mask: v for mask, v in enumerate(inner.values) if v}
     nums = partition_lift(t, profiles.ordered_counts(G, t), weights)
-    return profiles.LabeledProfile(t=t, flavor="r", values=_divide(nums, G.n ** t))
+    return profiles.LabeledProfile(t=t, flavor="r", numerators=_divide(nums, G.n ** t))
 
 
 def repetitive_from_induced(P, s: int, t: int):
@@ -309,7 +310,72 @@ def repetitive_from_induced(P, s: int, t: int):
                 unordered[pattern] = unordered.get(pattern, 0) + value * scale * c
         ordered[ell] = profiles._ordered(ell, unordered)
     values = _divide(partition_lift(t, ordered), s ** t)
-    return profiles.LabeledProfile(t=t, flavor="r", values=values).to_unlabeled()
+    return profiles.LabeledProfile(t=t, flavor="r", numerators=values).to_unlabeled()
+
+
+class Surd:
+    """a + b * sqrt(3) with Fractions a and b: exact arithmetic in Q(sqrt 3),
+    where 2 + sqrt 3, the weight of the catalog's --approx rows, lives."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __eq__(self, other):
+        other = _surd(other)
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __add__(self, other):
+        other = _surd(other)
+        return Surd(self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other):
+        other = _surd(other)
+        return Surd(self.a * other.a + 3 * self.b * other.b, self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        other = _surd(other)
+        norm = other.a ** 2 - 3 * other.b ** 2  # (a + b sqrt 3)(a - b sqrt 3), nonzero unless other is 0
+        return self * Surd(other.a / norm, -other.b / norm)
+
+    def __pow__(self, k: int):
+        out = Surd(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __repr__(self):
+        return f"Surd({self.a}, {self.b})"
+
+
+def _surd(x) -> Surd:
+    return x if isinstance(x, Surd) else Surd(x)
+
+
+def interpolate(points) -> list:
+    """Coefficients, lowest degree first, of the polynomial of degree below
+    len(points) through the (x, y) points: Lagrange's formula in Fractions."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                # basis times (x - xj), over xi - xj
+                basis = [(basis[k - 1] if k else 0) - (basis[k] * xj if k < len(basis) else 0)
+                         for k in range(len(basis) + 1)]
+                scale /= xi - xj
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    return coeffs
+
+
+def evaluate_polynomial(coeffs, x):
+    """Horner's rule; x may be a Surd."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 # Twins of the package's value classes, under the same names: the same
@@ -372,7 +438,8 @@ class ProfileVector:
 class LabeledProfile:
     t: int
     flavor: str
-    values: tuple
+    numerators: tuple
+    denominator: int = 1
 
 
 @dataclass(frozen=True)
@@ -393,7 +460,8 @@ class EstimatedProfile:
 @dataclass(frozen=True)
 class SpectralProfile:
     t: int
-    values: tuple
+    numerators: tuple
+    denominator: int = 1
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from inducibility.catalog import (
     ALPHA_TEXT,
     TABLES,
     CatalogRow,
     catalog_rows,
     closed_form_bounds,
+    density,
     max_bounds_order,
     reproduce_table,
     run_row,
@@ -121,6 +124,30 @@ def test_alpha_weight_is_a_local_maximum():
     assert best == pytest.approx(5 / 12, abs=1e-9)
     assert best > density(alpha * (1 + 1e-4))
     assert best > density(alpha * (1 - 1e-4))
+
+
+def test_approx_rows_have_exact_certificates():
+    # each --approx row is union(A:1, B:alpha) with alpha = 2 + sqrt 3, whose
+    # density is P(alpha) / (1 + alpha)^t with deg P <= t: t + 1 exact
+    # densities at integer weights fix P, and P(alpha) / (3 + sqrt 3)^t is the
+    # row's value at the exact alpha, which the float comparison within
+    # APPROX_TOL cannot tell from a value 1e-12 away
+    alpha = oracles.Surd(2, 1)
+    f = float(ALPHA_TEXT)
+    # ALPHA_TEXT is the double nearest alpha: alpha lies between the
+    # midpoints to its neighbours, (m - 2)^2 < 3 < (M - 2)^2
+    low, high = ((Fraction(f) + Fraction(math.nextafter(f, side))) / 2 for side in (0.0, 4.0))
+    assert (low - 2) ** 2 < 3 < (high - 2) ** 2
+    rows = [row for row in catalog_rows("appendix5") if row.approx]
+    assert [row.row_id for row in rows] == [f"appendix5-{k:02d}" for k in range(9, 14)]
+    for row in rows:
+        assert row.construction.count(ALPHA_TEXT) == 1
+        Q = row.quantum()
+        points = [(x, density(Q, row.construction.replace(ALPHA_TEXT, str(x))) * (1 + x) ** row.t)
+                  for x in range(1, row.t + 2)]
+        P = oracles.interpolate(points)
+        certified = oracles.evaluate_polynomial(P, alpha) / (alpha + 1) ** row.t
+        assert certified == Fraction(row.expected), row.row_id
 
 
 def test_headline_table_reproduces():

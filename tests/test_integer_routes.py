@@ -1,18 +1,29 @@
 """Differential tests of the integer routes against the Fraction oracles in
 tests/oracles.py: the assignments route of step models and the
-fraction-free kernel solve."""
+fraction-free kernel solve; and the reduced numerators over one
+denominator that every route hands on."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inducibility.graphs import build_named
 from inducibility.linalg import solve_rational_kernel
-from inducibility.models import StepModel
-from inducibility.profiles import _repetitive_by_assignments, divide
+from inducibility.models import StepModel, bernoulli, bipartite_random
+from inducibility.nesting import compose_profile
+from inducibility.profiles import (
+    LabeledProfile,
+    _repetitive_by_assignments,
+    divide,
+    induced_profile,
+    labeled_repetitive,
+)
+from inducibility.spectral import convolve, fourier, inverse_fourier, spectral_product
 from oracles import rational_kernel, repetitive_by_assignments
 
 # half 0/1, since every fractional pair doubles the oracle's branches
@@ -115,3 +126,48 @@ def test_elimination_keeps_integers_small():
         tracemalloc.stop()
     assert len(basis) == 1 and basis == rational_kernel(rows)
     assert peak < 200_000, peak
+
+
+def _assert_reduced(profile):
+    """Exact: ints over the lowest positive int denominator, rebuilt equal from
+    its own values; float: each value over 1.0."""
+    if profile.exact:
+        assert all(type(v) is int for v in profile.numerators)
+        assert type(profile.denominator) is int and profile.denominator > 0
+        assert math.gcd(profile.denominator, *profile.numerators) == 1
+        flavor = (profile.flavor,) if isinstance(profile, LabeledProfile) else ()
+        assert type(profile)(profile.t, *flavor, profile.values) == profile
+    else:
+        assert type(profile.denominator) is float and profile.denominator == 1.0
+        assert profile.numerators == profile.values
+
+
+def test_profiles_are_reduced_integers_over_one_denominator():
+    C5 = build_named("C", [5])
+    graph = labeled_repetitive(C5, 3)
+    model = labeled_repetitive(bipartite_random(Fraction(1, 4)), 3)  # the assignments route
+    floats = labeled_repetitive(bernoulli(0.3), 3)
+    assert graph.exact and model.exact and not floats.exact
+    routes = [
+        graph,
+        model,
+        floats,
+        convolve(graph, model),
+        convolve(graph, floats),
+        fourier(model),
+        fourier(floats),
+        spectral_product(fourier(graph), fourier(model)),
+        spectral_product(fourier(graph), fourier(floats)),
+        inverse_fourier(fourier(model)),
+        inverse_fourier(fourier(floats)),
+        compose_profile(C5, model),
+        compose_profile(C5, floats),
+        induced_profile(C5, 3).as_labeled(),
+        labeled_repetitive(C5, 3).to_unlabeled().as_labeled(),
+    ]
+    for profile in routes:
+        _assert_reduced(profile)
+    # what was passed is kept when it is reduced, and reduced when it is not
+    assert LabeledProfile(3, "r", graph.numerators, graph.denominator).numerators is graph.numerators
+    doubled = LabeledProfile(3, "r", [2 * v for v in graph.numerators], 2 * graph.denominator)
+    assert doubled == graph and type(doubled.numerators) is tuple

@@ -141,8 +141,8 @@ def test_integer_and_fraction_models_stay_exact():
     [
         lambda: StepModel(masses=(Fraction(1),), w=((Fraction(0),),), exact=True),
         lambda: ProfileVector(t=2, flavor="induced", values=(Fraction(1), Fraction(0)), exact=True),
-        lambda: LabeledProfile(t=2, flavor="r", values=(Fraction(1), Fraction(0)), exact=True),
-        lambda: SpectralProfile(t=2, values=(Fraction(1), Fraction(1)), exact=True),
+        lambda: LabeledProfile(t=2, flavor="r", numerators=(Fraction(1), Fraction(0)), exact=True),
+        lambda: SpectralProfile(t=2, numerators=(Fraction(1), Fraction(1)), exact=True),
     ],
 )
 def test_exactness_is_not_a_constructor_argument(make):

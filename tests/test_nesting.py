@@ -187,7 +187,7 @@ def test_a_profile_of_no_graph_is_refused():
     C5 = build_named("C", [5])
     lab = labeled_repetitive(C5, 3)
     paley = labeled_repetitive(build_named("paley", [13]), 4)
-    floats = LabeledProfile(t=4, flavor="r", values=tuple(float(v) for v in paley.values))
+    floats = LabeledProfile(t=4, flavor="r", numerators=tuple(float(v) for v in paley.values))
     for s, bad, message in (
         (6, lab, "^not the repetitive profile of a loopless 6-vertex graph$"),
         (13, floats, "^ordered counts are read back from exact profiles only$"),
@@ -238,6 +238,36 @@ def test_a_cached_transition_matrix_is_charged_again(monkeypatch):
     monkeypatch.setattr(profiles, "DEFAULT_BUDGET", 5)
     with pytest.raises(BudgetError, match="^10 subsets exceed the budget of 5$"):
         transition_matrix(C5, 3)
+
+
+def test_a_profile_pair_has_an_int_n_of_at_least_one_and_the_order_asked_for(monkeypatch):
+    # refused at the intake, before the cache and before any count is read
+    # back; unchecked, (5, lab3) at t = 4 and (-5, lab3) failed with
+    # "columns must sum to one", (0, lab3) divided by zero, and (True, K1's
+    # profile) answered
+    def refuse(*args, **kwargs):
+        raise AssertionError("counts were read back")
+
+    C5, K1 = build_named("C", [5]), build_named("K", [1])
+    lab3 = labeled_repetitive(C5, 3)
+    monkeypatch.setattr(nesting, "ordered_from_repetitive", refuse)
+    transition_matrix.cache_clear()
+    n_message = r"^the n of an \(n, LabeledProfile\) base must be an int of at least 1$"
+    for base, t, message in (
+        ((5, lab3), 4, r"^the profile of an \(n, LabeledProfile\) base must have order 4$"),
+        ((-5, lab3), 3, n_message),
+        ((0, lab3), 3, n_message),
+        ((True, labeled_repetitive(K1, 3)), 3, n_message),
+    ):
+        inner = labeled_repetitive(C5, t)
+        for call in (
+            lambda: compose_profile(base, inner),
+            lambda: transition_matrix(base, t),
+            lambda: stationary_profile(base, t),
+            lambda: nested_spectral(base, t),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_a_base_is_a_loopless_graph_or_a_profile_pair(monkeypatch):

@@ -79,7 +79,7 @@ def substitute(G, M: StepModel) -> StepModel:
 
 
 def oracle(M: StepModel, t: int) -> LabeledProfile:
-    return LabeledProfile(t=t, flavor="r", values=tuple(repetitive_by_assignments(M, t)))
+    return LabeledProfile(t=t, flavor="r", numerators=tuple(repetitive_by_assignments(M, t)))
 
 
 @st.composite
@@ -164,6 +164,6 @@ def test_compose_profile_matches_fraction_route(G, t, data):
     exact = labeled_repetitive_profile(data.draw(inner_models(3)), t)
     assert compose_profile(G, exact) == oracles.compose_profile(G, exact)
     # floats keep their operation order, so they agree to the bit
-    floats = LabeledProfile(t=t, flavor="r", values=tuple(float(v) for v in exact.values))
+    floats = LabeledProfile(t=t, flavor="r", numerators=tuple(float(v) for v in exact.values))
     got, expected = compose_profile(G, floats).values, oracles.compose_profile(G, floats).values
     assert [v.hex() for v in got] == [v.hex() for v in expected]

@@ -67,11 +67,11 @@ def test_coin_flip_spectrum_is_a_delta():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        SpectralProfile(t=2, values=(Fraction(1, 2), Fraction(0)))
+        SpectralProfile(t=2, numerators=(Fraction(1, 2), Fraction(0)))
     with pytest.raises(ValueError):
-        SpectralProfile(t=2, values=(Fraction(1), Fraction(2)))
+        SpectralProfile(t=2, numerators=(Fraction(1), Fraction(2)))
     with pytest.raises(ValueError):
-        SpectralProfile(t=2, values=(Fraction(1),))
+        SpectralProfile(t=2, numerators=(Fraction(1),))
 
 
 def test_reference_spectra_of_the_two_headline_factors():
