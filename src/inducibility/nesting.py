@@ -11,8 +11,8 @@ construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+import math
+from functools import cached_property, lru_cache
 
 from .frozen import frozen
 from .graphs import LabeledGraph
@@ -21,6 +21,8 @@ from .profiles import (
     LabeledProfile,
     ProfileVector,
     charge,
+    clear_denominators,
+    divide,
     iso_table,
     ordered_counts,
     ordered_from_repetitive,
@@ -94,20 +96,27 @@ def iterate_profile(G: LabeledGraph, t: int, n: int) -> LabeledProfile:
 
 @frozen
 class TransitionMatrix:
-    """Column-stochastic action of one nesting step on type distributions."""
+    """Column-stochastic action of one nesting step on type distributions, as integer rows over one denominator."""
 
     t: int
-    rows: tuple
+    numerators: tuple
+    denominator: int = 1
 
     def __post_init__(self):
         size = len(iso_table(self.t).entries)
-        if len(self.rows) != size or any(len(r) != size for r in self.rows):
+        if len(self.numerators) != size or any(len(r) != size for r in self.numerators):
             raise ValueError("matrix shape does not match the type table")
-        if any(sum(col) != 1 for col in zip(*self.rows)):
+        if not self.denominator or any(sum(col) != self.denominator for col in zip(*self.numerators)):
             raise ValueError("columns must sum to one")
 
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(divide(row, self.denominator) for row in self.numerators)
+
     def apply(self, values) -> tuple:
-        return tuple(sum(r * v for r, v in zip(row, values) if v != 0) for row in self.rows)
+        """The matrix times a distribution: the values cleared once, multiplied in integers, divided once."""
+        d, scaled = clear_denominators(values)
+        return divide([sum(r * v for r, v in zip(row, scaled) if v) for row in self.numerators], d * self.denominator)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -118,7 +127,7 @@ def transition_matrix(G, t: int, budget: int | None = None) -> TransitionMatrix:
     limit concentrated on type j.
 
     Column j lifts orbit j's 0/1 indicator over G's ordered counts in
-    integers; entry i is its type-i mask times |orbit i| / (n^t |orbit j|).
+    integers; entry i is its type-i mask times |orbit i| aut_j / (n^t t!), reduced once.
     A graph G is charged at the budget on every call, before the cached lookup.
     """
     return _transition_matrix(_base(G, t, budget), t)
@@ -128,12 +137,11 @@ def transition_matrix(G, t: int, budget: int | None = None) -> TransitionMatrix:
 def _transition_matrix(base, t: int) -> TransitionMatrix:
     table = iso_table(t)
     n, ordered = _ordered(base, t)
-    cols = []
-    for e in table.entries:
-        nums = partition_lift(t, ordered, dict.fromkeys(e.orbit, 1))
-        den = n ** t * e.orbit_size
-        cols.append([Fraction(nums[f.rep_mask] * f.orbit_size, den) for f in table.entries])
-    return TransitionMatrix(t=t, rows=tuple(zip(*cols)))
+    lifts = [(partition_lift(t, ordered, dict.fromkeys(e.orbit, 1)), e.aut_count) for e in table.entries]
+    rows = [[lift[f.rep_mask] * f.orbit_size * aut for lift, aut in lifts] for f in table.entries]
+    den = n ** t * math.factorial(t)
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return TransitionMatrix(t, tuple(tuple(x // g for x in row) for row in rows), den // g)
 
 
 transition_matrix.cache_info = _transition_matrix.cache_info  # the cache's handles, as lru_cache names them
@@ -163,16 +171,16 @@ def stationary_profile(G, t: int, budget: int | None = None) -> NestedProfile:
     fixed-point space does not pin down a single distribution.
     """
     F = transition_matrix(G, t, budget)
-    shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(F.rows)]
+    shifted = [[x - (F.denominator if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(F.numerators)]
     basis = solve_rational_kernel(shifted)
     if len(basis) != 1:
         raise DegenerateStationaryError(
             f"fixed-point space has dimension {len(basis)}"
         )
-    total = sum(basis[0])
-    if total == 0:
+    _, nums = clear_denominators(basis[0])
+    if sum(nums) == 0:
         raise DegenerateStationaryError("fixed vector has zero total mass")
-    values = tuple(v / total for v in basis[0])
+    values = divide(nums, sum(nums))
     if any(v < 0 for v in values):
         raise DegenerateStationaryError("fixed vector leaves the simplex")
     if F.apply(values) != values:

@@ -230,9 +230,9 @@ class LabeledProfile(OverOneDenominator):
         _check_distribution(self.numerators, self.denominator, tol, "labeled entries")
 
     def to_unlabeled(self) -> ProfileVector:
-        vals = tuple(v * e.orbit_size for v, e in zip(self.type_values(), iso_table(self.t).entries))
+        nums = [self.numerators[e.rep_mask] * e.orbit_size for e in iso_table(self.t).entries]
         flavor = "induced" if self.flavor == "p" else "repetitive"
-        return ProfileVector(t=self.t, flavor=flavor, values=vals)
+        return ProfileVector(t=self.t, flavor=flavor, values=divide(nums, self.denominator))
 
 
 @frozen

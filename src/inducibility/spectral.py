@@ -12,7 +12,6 @@ import operator
 from fractions import Fraction
 from functools import reduce
 
-from . import masks
 from .frozen import frozen
 from .profiles import (
     LabeledProfile,
@@ -42,10 +41,6 @@ def fwht_forward(values) -> list:
                 vec[j + h] = x - y
         h *= 2
     return vec
-
-
-def fwht_inverse(values) -> list:
-    return list(divide(fwht_forward(values), len(values)))
 
 
 @frozen
@@ -145,14 +140,11 @@ def quantum_functional(Q: QuantumGraph) -> tuple:
     the functional collapses to one coefficient per type.
     """
     table = iso_table(Q.t)
-    size = 1 << masks.slot_count(Q.t)
-    indicator = [Fraction(0)] * size
-    for idx, coeff in Q.coefficients:
-        for mask in table.entries[idx].orbit:
-            indicator[mask] += Fraction(coeff)
-    d, scaled = clear_denominators(indicator)
-    hat = fwht_forward(scaled)
-    return tuple(Fraction(e.orbit_size * hat[e.rep_mask], size * d) for e in table.entries)
+    d, scaled = clear_denominators([Fraction(coeff) for _, coeff in Q.coefficients])
+    weight = {idx: c for (idx, _), c in zip(Q.coefficients, scaled)}
+    # Q's orbit indicator in integers: each mask carries its type's cleared coefficient
+    hat = fwht_forward([weight.get(idx, 0) for idx in table.index])
+    return divide([e.orbit_size * hat[e.rep_mask] for e in table.entries], len(hat) * d)
 
 
 def product_limit_density(Q: QuantumGraph, *spectra: SpectralProfile):

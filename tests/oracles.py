@@ -3,6 +3,7 @@ enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
 block-swap transpose and the translated cayley2 rows replaced, the
 partition lift expanded bit by bit with the routes over it in Fractions,
+the xor convolution of profiles a pair of masks at a time,
 the Monte Carlo sampler that drew each batch whole, the subset counter
 that counts the last vertex a class at a time in increasing order,
 exact arithmetic in Q(sqrt 3) with Lagrange interpolation, and stdlib
@@ -295,6 +296,19 @@ def compose_profile(G, inner):
     return profiles.LabeledProfile(t=t, flavor="r", numerators=_divide(nums, G.n ** t))
 
 
+def xor_convolve(*profiles) -> tuple:
+    """Labeled repetitive values of the tensor product of the profiles'
+    sources: out[a ^ b] += p[a] * q[b] over every pair of masks, in Fractions."""
+    out = profiles[0].values
+    for q in profiles[1:]:
+        nxt = [Fraction(0)] * len(out)
+        for a, x in enumerate(out):
+            for b, y in enumerate(q.values):
+                nxt[a ^ b] += x * y
+        out = nxt
+    return tuple(out)
+
+
 def repetitive_from_induced(P, s: int, t: int):
     """Repetitive profile of an s-vertex graph from its induced t-profile
     P, through graphs: each ell-subset lies in C(s-ell, t-ell) of the
@@ -467,7 +481,8 @@ class SpectralProfile:
 @dataclass(frozen=True)
 class TransitionMatrix:
     t: int
-    rows: tuple
+    numerators: tuple
+    denominator: int = 1
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,9 @@ def test_transition_matrix_columns_are_stochastic():
         for j in range(size):
             assert sum(F.rows[i][j] for i in range(size)) == 1
     with pytest.raises(ValueError):
-        TransitionMatrix(t=2, rows=((Fraction(1), Fraction(1)),) * 2)
+        TransitionMatrix(t=2, numerators=((Fraction(1), Fraction(1)),) * 2)
+    with pytest.raises(ValueError):
+        TransitionMatrix(t=2, numerators=((0, 0),) * 2, denominator=0)
 
 
 def test_apply_preserves_the_simplex():

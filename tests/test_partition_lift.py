@@ -5,6 +5,7 @@ routes they replaced."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -167,3 +168,29 @@ def test_compose_profile_matches_fraction_route(G, t, data):
     floats = LabeledProfile(t=t, flavor="r", numerators=tuple(float(v) for v in exact.values))
     got, expected = compose_profile(G, floats).values, oracles.compose_profile(G, floats).values
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("t", range(2, 6))
+@settings(max_examples=10, deadline=None)
+@given(graphs(max_n=7, loops=False), st.data())
+def test_transition_matrix_matches_fraction_columns(t, G, data):
+    # integer rows over one reduced denominator; column j of the Fraction rows is the by-type
+    # profile of G composed over the uniform profile of orbit j, lifted in Fractions
+    F = transition_matrix(G, t)
+    flat = [x for row in F.numerators for x in row]
+    assert all(type(x) is int for x in flat + [F.denominator])
+    assert F.denominator > 0 and math.gcd(F.denominator, *flat) == 1
+    entries = iso_table(t).entries
+    cols = []
+    for e in entries:
+        uniform = [0] * (1 << slot_count(t))
+        for mask in e.orbit:
+            uniform[mask] = 1
+        composed = oracles.compose_profile(G, LabeledProfile(t, "r", tuple(uniform), e.orbit_size)).values
+        cols.append(tuple(sum(composed[mask] for mask in f.orbit) for f in entries))
+    rows = tuple(zip(*cols))
+    assert F.rows == rows
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=len(entries), max_size=len(entries)))
+    weights[data.draw(st.integers(0, len(entries) - 1))] += 1
+    v = [Fraction(w, sum(weights)) for w in weights]
+    assert F.apply(v) == tuple(sum(r * x for r, x in zip(row, v)) for row in rows)

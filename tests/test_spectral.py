@@ -18,7 +18,6 @@ from inducibility.spectral import (
     convolve,
     fourier,
     fwht_forward,
-    fwht_inverse,
     inverse_fourier,
     model_spectrum,
     product_limit_density,
@@ -28,15 +27,15 @@ from inducibility.spectral import (
 
 
 def test_fwht_round_trip():
+    # the transform is its own inverse up to the length, which inverse_fourier divides once
     rng = random.Random(3)
     for _ in range(10):
         vec = [Fraction(rng.randrange(-9, 10), 7) for _ in range(8)]
-        assert fwht_inverse(fwht_forward(vec)) == vec
-        assert fwht_forward(fwht_inverse(vec)) == vec
+        assert fwht_forward(fwht_forward(vec)) == [len(vec) * v for v in vec]
 
 
 def test_approximate_spectrum_round_trips():
-    # float values stay floats through the one division of fwht_inverse
+    # float values stay floats through the one division of inverse_fourier
     M = model_union([(from_graph(build_named("K", [2])), 1.0), (bernoulli(0.3), 3.7320508075688772)])
     for t in (2, 3, 4):
         lab = labeled_repetitive_profile(M, t)

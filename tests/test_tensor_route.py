@@ -4,7 +4,8 @@ induced_profile, and as nested bases, the transition matrix and stationary
 profile of the built product.  Exact trees of unions and complements,
 profiled through their parts' support graphs, against the dense models
 that evaluate builds.  Also the inverted partition lift against the subset
-counter, and the integer convolution against the Fraction transforms."""
+counter, and the integer convolution against a direct Fraction xor
+convolution and the Fraction transforms."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from inducibility import dsl
 from inducibility.catalog import _loopless, _nested, density, induced_of, repetitive_of
 from inducibility.dsl import Node, evaluate, parse_expr, plan, print_expr
@@ -188,6 +190,7 @@ def test_integer_convolution_matches_the_fraction_transforms(factors, t):
         profiles = [labeled_repetitive(evaluate(f), t) for f in factors]
     finally:
         dsl.LOADED.clear()
+    assert convolve(*profiles).values == oracles.xor_convolve(*profiles)
     assert convolve(*profiles) == inverse_fourier(spectral_product(*map(fourier, profiles)))
 
 
