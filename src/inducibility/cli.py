@@ -26,7 +26,7 @@ from .catalog import (
     repetitive_of,
     reproduce_table,
 )
-from .dsl import LOADED, loaded_paths, parse_expr, parse_factors, parse_quantum, plan, print_expr
+from .dsl import LOADED, denote, loaded_paths, parse_expr, parse_factors, parse_quantum, plan, print_expr
 from .graphs import check_graph6, graph6_decode, graph6_encode
 from .nesting import DegenerateStationaryError
 from .profiles import BudgetError, charge_samples, iso_table, monte_carlo_profile
@@ -164,10 +164,10 @@ def _run_limit(args) -> dict:
 
 
 def _run_estimate(args) -> dict:
-    build = plan(parse_expr(args.expr), args.approx).build
+    p = plan(parse_expr(args.expr), args.approx)
     names = iso_table(args.t).type_names()  # refuses an order outside 2..5
     charge_samples(args.samples, budget=args.budget)
-    est = monte_carlo_profile(build(), args.t, args.samples, args.seed, budget=args.budget)
+    est = monte_carlo_profile(denote(p), args.t, args.samples, args.seed, budget=args.budget)
     return _profile_payload(
         "estimate", args.t, names, est.values, args, seed=args.seed, stderr=est.stderr
     )

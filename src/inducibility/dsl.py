@@ -263,11 +263,6 @@ def print_expr(node) -> str:
     return f"{op}({', '.join(parts)})"
 
 
-def _as_model(source) -> StepModel:
-    """A step model as it is, a graph as the step model of its blow-up limit."""
-    return source if isinstance(source, StepModel) else from_graph(source)
-
-
 _GRAPH_OPERATORS = {"blowup": blow_up, "compose": compose, "tensor": tensor}
 # the operators, random models and load; every other op names a catalogue graph
 OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "bipartite", "load"})
@@ -281,12 +276,12 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
     count; whether a graph is looped (all or none), None for a model;
     whether labeled_repetitive takes the partition lift; a no-argument build
     that checks nothing again; and the plans of an exact tensor's factors,
-    flattened, when it is `profiled` from them.  The vertex cap bounds what
-    is built, so such a tensor is not capped; a profiled lifted union builds
-    as the disjoint union of its parts' support graphs, and a complement of
-    a profiled lifted operand flips it as a graph: graphs whose loops may be
-    mixed, though looped is None.  Every fault of the tree is raised here;
-    only a load leaf is read and decoded, for its order."""
+    flattened, when it is `profiled` from them.  A plan builds a graph
+    exactly when it is lifted: for looped None, a graph whose loops may be
+    mixed, standing for its step model (see `denote`).  `profiled` decides
+    only whether an exact tensor keeps its factors, not capped since it is
+    never built; every other built graph is capped.  Every fault of the
+    tree is raised here; only a load leaf is read and decoded, for its order."""
     op, args = node.op, node.args
     if op not in OPERATORS:
         return Plan(named_order(op, args), named_looped(op, args), True, lambda: build_named(op, args))
@@ -299,34 +294,31 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
         if not 0 <= p <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
         k, model = (1, bernoulli) if op == "bernoulli" else (2, bipartite_random)
-        return Plan(k, None, not approx and p in (0, 1), lambda: model(p))
+        lifted = not approx and p in (0, 1)
+        return Plan(k, None, lifted, lambda: support_graph(model(p)) if lifted else model(p))
     if op == "union":  # a lifted part of n types has masses weight/n before normalizing
-        parts = [plan(e, approx, profiled and e.op != "tensor") for e, _ in args]
+        parts = [plan(e, approx) for e, _ in args]
         weights = [float(w) if approx else w for _, w in args]
         if any(w <= 0 for w in weights):
             raise ValueError("union weights must be positive")
         lifted = not approx and all(p.lifted for p in parts) and len(
             {Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
-        if profiled and lifted:
-            return Plan(sum(p.size for p in parts), None, True, lambda: reduce(
-                disjoint_union, [support_graph(p.build()) for p in parts]))
-        return Plan(sum(p.size for p in parts), None, lifted, lambda: model_union(
-            [(_as_model(p.build()), w) for p, w in zip(parts, weights)]))
-    if op == "complement":  # a tensor inside a complement or a union is built, so stays capped
-        n, looped, lifted, inner, _ = plan(args[0], approx, profiled and args[0].op != "tensor")
-        graph = looped is not None or (profiled and lifted)
+        return Plan(sum(p.size for p in parts), None, lifted, lambda: reduce(disjoint_union, [p.build() for p in parts])
+                    if lifted else model_union([(denote(p, model=True), w) for p, w in zip(parts, weights)]))
+    if op == "complement":
+        n, looped, lifted, inner, _ = plan(args[0], approx)
         return Plan(n, None if looped is None else not looped, lifted,
-                    lambda: complement(support_graph(inner())) if graph else model_complement(inner()))
+                    lambda: complement(inner()) if lifted else model_complement(inner()))
     profiled = profiled and op == "tensor" and not approx
     # blowup's count is a factor of its size, and builds as itself
     plans = [plan(a, approx, profiled) if isinstance(a, Node) else Plan(a, False, True, lambda a=a: a) for a in args]
     size = math.prod(p.size for p in plans)
     factors = tuple(f for p in plans for f in p.factors or (p,)) if profiled else ()
-    if any(p.looped is None for p in plans):
-        if op != "tensor":
-            raise ExprError(f"{op} applies to graphs only", node.span[0])
-        return Plan(size, None, all(p.lifted for p in plans), lambda: reduce(
-            model_tensor, [_as_model(p.build()) for p in plans]), factors)
+    mixed = any(p.looped is None for p in plans)  # a model among the factors
+    if mixed and op != "tensor":
+        raise ExprError(f"{op} applies to graphs only", node.span[0])
+    if not all(p.lifted for p in plans):
+        return Plan(size, None, False, lambda: reduce(model_tensor, [denote(p, model=True) for p in plans]), factors)
     try:
         if not profiled:
             check_order(size)
@@ -335,15 +327,23 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
     if op == "compose" and any(p.looped for p in plans):
         raise ValueError("composition is defined for loopless graphs")
     # blowup and compose are loopless; a tensor vertex is looped iff an odd number of coordinates are
-    looped = op == "tensor" and sum(p.looped for p in plans) % 2 == 1
+    looped = None if mixed else op == "tensor" and sum(p.looped for p in plans) % 2 == 1
     return Plan(size, looped, True, lambda: _GRAPH_OPERATORS[op](*(p.build() for p in plans)), factors)
+
+
+def denote(p: Plan, model: bool = False):
+    """The graph or step model a plan stands for, a step model if `model`:
+    what it builds, where looped is None or `model` is set taken to the step
+    model of its blow-up limit (from_graph of a graph, which a lifted plan builds)."""
+    built = p.build()
+    return from_graph(built) if (model or p.looped is None) and not isinstance(built, StepModel) else built
 
 
 def evaluate(node, approx: bool = False):
     """Build the graph or step model a construction denotes, once plan has
-    checked the whole tree: graphs stay graphs under graph operators; a
-    union or a random leaf makes a step model, graphs entering as limits."""
-    return plan(node, approx).build()
+    checked the whole tree: a graph under graph operators, else a step model,
+    from_graph of what a lifted plan builds or the dense model of one that is not."""
+    return denote(plan(node, approx))
 
 
 _QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]*[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")

@@ -5,7 +5,8 @@ what the package's value classes use: an `__init__` taking the fields by
 position or keyword, with the class-level values as defaults, that calls
 `__post_init__` when the class has one; `__eq__` (same class only),
 `__hash__` and `__repr__` over the compared fields; and AttributeError on
-assignment and deletion.  A method the class defines itself is kept.
+assignment and deletion.  A method the class defines itself is kept; one it
+inherits is replaced, so a base class cannot lend its subclasses `__eq__`.
 
 Importing `dataclasses` (and with it `inspect`) and generating each method
 from source cost every command about 25 ms at start-up; these methods are
@@ -15,14 +16,15 @@ plain closures over each class's field names instead.
 from operator import attrgetter
 
 
-def frozen(cls=None, *, uncompared=()):
-    """Class decorator; fields named in `uncompared` stay out of eq, hash and repr."""
+def frozen(cls=None, *, uncompared=(), also_compared=()):
+    """Class decorator; fields named in `uncompared` stay out of eq, hash and
+    repr, and attributes named in `also_compared` join eq, not hash."""
     if cls is None:
-        return lambda c: frozen(c, uncompared=uncompared)
+        return lambda c: frozen(c, uncompared=uncompared, also_compared=also_compared)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     shown = tuple(name for name in names if name not in uncompared)
-    key = attrgetter(*shown)
+    key, same = attrgetter(*shown), attrgetter(*shown, *also_compared)
     post_init = getattr(cls, "__post_init__", None)
     title = cls.__qualname__
 
@@ -52,7 +54,7 @@ def frozen(cls=None, *, uncompared=()):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return key(self) == key(other)
+        return same(self) == same(other)
 
     def __hash__(self):
         return hash(key(self))

@@ -103,10 +103,18 @@ class TransitionMatrix:
     denominator: int = 1
 
     def __post_init__(self):
-        size = len(iso_table(self.t).entries)
-        if len(self.numerators) != size or any(len(r) != size for r in self.numerators):
+        """Check the shape and the signs, write the pair back reduced (clear_denominators) where it
+        differs from what was passed, as the profiles do, then check the column sums."""
+        nums, den, size = self.numerators, self.denominator, len(iso_table(self.t).entries)
+        if len(nums) != size or any(len(r) != size for r in nums):
             raise ValueError("matrix shape does not match the type table")
-        if not self.denominator or any(sum(col) != self.denominator for col in zip(*self.numerators)):
+        flat = [x for row in nums for x in row]
+        if den < 1 or any(x < 0 for x in flat):
+            raise ValueError("entries must be nonnegative over a denominator of at least 1")
+        d, scaled = clear_denominators(flat, den)
+        if {type(nums), type(den), *map(type, nums), *map(type, flat)} != {tuple, type(d)} or d != den:
+            self.__dict__.update(numerators=tuple(scaled[i:i + size] for i in range(0, len(flat), size)), denominator=d)
+        if any(sum(col) != d for col in zip(*self.numerators)):
             raise ValueError("columns must sum to one")
 
     @cached_property
@@ -127,7 +135,7 @@ def transition_matrix(G, t: int, budget: int | None = None) -> TransitionMatrix:
     limit concentrated on type j.
 
     Column j lifts orbit j's 0/1 indicator over G's ordered counts in
-    integers; entry i is its type-i mask times |orbit i| aut_j / (n^t t!), reduced once.
+    integers; entry i is its type-i mask times |orbit i| aut_j / (n^t t!), reduced once on construction.
     A graph G is charged at the budget on every call, before the cached lookup.
     """
     return _transition_matrix(_base(G, t, budget), t)
@@ -138,10 +146,8 @@ def _transition_matrix(base, t: int) -> TransitionMatrix:
     table = iso_table(t)
     n, ordered = _ordered(base, t)
     lifts = [(partition_lift(t, ordered, dict.fromkeys(e.orbit, 1)), e.aut_count) for e in table.entries]
-    rows = [[lift[f.rep_mask] * f.orbit_size * aut for lift, aut in lifts] for f in table.entries]
-    den = n ** t * math.factorial(t)
-    g = math.gcd(den, *(x for row in rows for x in row))
-    return TransitionMatrix(t, tuple(tuple(x // g for x in row) for row in rows), den // g)
+    rows = tuple(tuple(lift[f.rep_mask] * f.orbit_size * aut for lift, aut in lifts) for f in table.entries)
+    return TransitionMatrix(t, rows, n ** t * math.factorial(t))
 
 
 transition_matrix.cache_info = _transition_matrix.cache_info  # the cache's handles, as lru_cache names them

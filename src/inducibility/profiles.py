@@ -213,7 +213,7 @@ class OverOneDenominator:
         return divide([self.numerators[e.rep_mask] for e in iso_table(self.t).entries], self.denominator)
 
 
-@frozen
+@frozen(also_compared=("exact",))  # 1 == 1.0: an exact profile never equals a float one
 class LabeledProfile(OverOneDenominator):
     """Density per labeled graph, indexed by edge-slot mask, as numerators
     over one denominator."""

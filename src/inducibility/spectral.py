@@ -43,7 +43,7 @@ def fwht_forward(values) -> list:
     return vec
 
 
-@frozen
+@frozen(also_compared=("exact",))  # 1 == 1.0: an exact profile never equals a float one
 class SpectralProfile(OverOneDenominator):
     """Transform of a labeled repetitive profile, indexed by edge-slot mask,
     as numerators over one denominator.

@@ -3,7 +3,8 @@ enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
 block-swap transpose and the translated cayley2 rows replaced, the
 partition lift expanded bit by bit with the routes over it in Fractions,
-the xor convolution of profiles a pair of masks at a time,
+the xor convolution of profiles a pair of masks at a time, the dense
+step model of a construction built node by node,
 the Monte Carlo sampler that drew each batch whole, the subset counter
 that counts the last vertex a class at a time in increasing order,
 exact arithmetic in Q(sqrt 3) with Lagrange interpolation, and stdlib
@@ -14,12 +15,13 @@ adjacency."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from inducibility import masks, profiles
+from inducibility import dsl, graphs, masks, models, profiles
 from inducibility.graphs import graph_from_mask
 
 
@@ -307,6 +309,32 @@ def xor_convolve(*profiles) -> tuple:
                 nxt[a ^ b] += x * y
         out = nxt
     return tuple(out)
+
+
+def dense_model(node, approx: bool = False):
+    """The graph or step model of a construction, built node by node with no
+    lifted shortcut: a union by models.model_union, a complement of a model
+    by model_complement, and a tensor with a model factor by model_tensor,
+    each graph operand entering as from_graph of it; graphs under graph
+    operators stay graphs, and a graph leaf is dsl.evaluate of it."""
+    op, args = node.op, node.args
+    if op == "union":
+        return models.model_union([(_dense(dense_model(e, approx)), float(w) if approx else w) for e, w in args])
+    if op in ("bernoulli", "bipartite"):
+        return (models.bernoulli if op == "bernoulli" else models.bipartite_random)(
+            float(args[0]) if approx else args[0])
+    parts = [dense_model(a, approx) if isinstance(a, dsl.Node) else a for a in args]
+    if op == "complement":
+        inner = parts[0]
+        return graphs.complement(inner) if isinstance(inner, graphs.LabeledGraph) else models.model_complement(inner)
+    if op == "tensor" and any(isinstance(p, models.StepModel) for p in parts):
+        return functools.reduce(models.model_tensor, map(_dense, parts))
+    builders = {"tensor": graphs.tensor, "compose": graphs.compose, "blowup": graphs.blow_up}
+    return builders[op](*parts) if op in builders else dsl.evaluate(node, approx)
+
+
+def _dense(source):
+    return source if isinstance(source, models.StepModel) else models.from_graph(source)
 
 
 def repetitive_from_induced(P, s: int, t: int):

@@ -341,6 +341,9 @@ def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
         # an exact tensor that is built is capped, before it is built
         (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "tensor(K300, K300)"], f"{capped} (at column 1)"),
         (["convert", "--encode", "tensor(K300, K300)"], f"{capped} (at column 1)"),
+        # so is a lifted tensor with a model factor, built as a graph
+        (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "tensor(union(K300:1), K300)"],
+         f"{capped} (at column 1)"),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv
@@ -674,6 +677,23 @@ def test_a_lifted_union_of_graphs_is_profiled_as_their_disjoint_union(capsys):
     union = _run(capsys, ["profile", "--t", "2", "union(K2000:1)"])
     assert time.perf_counter() - start < 1
     assert union == _run(capsys, ["profile", "--t", "2", "K2000"])
+
+
+def test_lifted_estimates_sample_the_model_of_the_built_graph(capsys, monkeypatch):
+    # a lifted tree builds a graph and estimate samples from_graph of it: the
+    # dense model that model_union, model_complement and model_tensor built,
+    # so the draws and the values are the same
+    for original in (models.model_union, models.model_complement, models.model_tensor):
+        assert _refuse_everywhere(monkeypatch, original, "a dense model was built")
+    union = ((0.009, 0.002111752826445368), (0.4375, 0.01109264959331178),
+             (0.14, 0.00775886589650833), (0.4135, 0.011011760758389187))
+    complemented = tuple(union[i] for i in (1, 0, 3, 2))  # K3 and A3, P3 and E3 trade places
+    mixed = ((0.101, 0.006737915107805975), (0.16, 0.008197560612767678),
+             (0.353, 0.010686229456641851), (0.386, 0.01088586239119345))
+    for expr, pinned in (("union(K3:1, C5:5/3)", union), ("complement(union(K3:1, C5:5/3))", complemented),
+                         ("tensor(union(K2:1, bernoulli(1):1/2), C5)", mixed)):
+        payload = _run_json(capsys, ["estimate", "--t", "3", "--samples", "2000", "--seed", "1", expr])
+        assert tuple((v["approx"], v["stderr"]) for v in payload["values"]) == pinned, expr
 
 
 def _src_env() -> dict:

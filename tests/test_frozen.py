@@ -11,6 +11,7 @@ import pytest
 import oracles
 from inducibility.catalog import BoundReport, CatalogRow, catalog_rows, closed_form_bounds
 from inducibility.dsl import Node, parse_expr, parse_quantum
+from inducibility.frozen import frozen
 from inducibility.graphs import LabeledGraph, build_named, canonical_form
 from inducibility.masks import partition_tables
 from inducibility.models import StepModel, bernoulli
@@ -178,3 +179,36 @@ def test_step_model_exact_is_set_on_construction():
     with pytest.raises(TypeError):
         StepModel(masses=(1,), w=((0,),), exact=True)
 
+
+
+
+def test_an_exact_profile_never_equals_a_float_one():
+    # 1 == 1.0 entry by entry and as denominators; exactness is compared too
+    for make, v in ((lambda v, d=1: LabeledProfile(2, "r", v, d), (1, 0)),
+                    (lambda v, d=1: SpectralProfile(2, v, d), (1, 1))):
+        exact, floats = make(v), make(tuple(map(float, v)))
+        assert exact != floats and floats != exact and not exact == floats
+        assert exact == make(tuple(2 * x for x in v), 2) and floats == make(tuple(x / 2 for x in v), 0.5)
+    assert LabeledProfile(2, "r", (1, 0)) != LabeledProfile(2, "r", (1.0, 0.0))
+    assert LabeledProfile(2, "r", (1, 1), 2) != LabeledProfile(2, "r", (0.5, 0.5))
+
+
+def test_also_compared_joins_eq_and_an_inherited_eq_is_replaced():
+    class Base:
+        def __eq__(self, other):
+            return True
+
+        __hash__ = object.__hash__
+
+    @frozen(also_compared=("kind",))
+    class Value(Base):
+        x: object
+
+        @property
+        def kind(self):
+            return type(self.x)
+
+    # frozen keeps only what the class defines itself, so Base lends no __eq__
+    assert Value.__eq__ is not Base.__eq__ and Value(1) != Value(2)
+    assert Value(1) == Value(1) and Value(1) != Value(1.0)
+    assert hash(Value(1)) == hash(Value(1.0))  # hash stays over the fields

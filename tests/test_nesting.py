@@ -94,6 +94,21 @@ def test_transition_matrix_columns_are_stochastic():
         TransitionMatrix(t=2, numerators=((0, 0),) * 2, denominator=0)
 
 
+def test_transition_matrix_checks_and_reduces_its_input():
+    # signs and the denominator are checked, not only the column sums
+    refused = "entries must be nonnegative over a denominator of at least 1"
+    for numerators, denominator in ((((2, -1), (-1, 2)), 1), (((1, 0), (0, 1)), 0), (((1, 0), (0, 1)), -1)):
+        with pytest.raises(ValueError, match=refused):
+            TransitionMatrix(2, numerators, denominator)
+    # the pair is reduced once, so the Fraction rows give the computed matrix
+    F = transition_matrix(build_named("C", [5]), 2)
+    by_rows = TransitionMatrix(2, F.rows)
+    assert by_rows == F and hash(by_rows) == hash(F)
+    assert (by_rows.numerators, by_rows.denominator) == (((3, 2), (2, 3)), 5)
+    assert type(by_rows.denominator) is int and all(type(x) is int for row in by_rows.numerators for x in row)
+    assert TransitionMatrix(2, ((6, 4), (4, 6)), 10) == F
+
+
 def test_apply_preserves_the_simplex():
     F = transition_matrix(build_named("C", [5]), 3)
     size = len(F.rows)

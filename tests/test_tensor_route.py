@@ -2,8 +2,9 @@
 graphs.tensor or models.model_tensor, then labeled_repetitive or
 induced_profile, and as nested bases, the transition matrix and stationary
 profile of the built product.  Exact trees of unions and complements,
-profiled through their parts' support graphs, against the dense models
-that evaluate builds.  Also the inverted partition lift against the subset
+profiled through the graphs that their lifted parts build, against the
+dense models built node by node, and every plan building a graph exactly
+when it is lifted.  Also the inverted partition lift against the subset
 counter, and the integer convolution against a direct Fraction xor
 convolution and the Fraction transforms."""
 
@@ -253,16 +254,34 @@ _TREES = st.recursive(
 @example(parse_expr("complement(union(K2:1, bipartite(0):1))"))
 @example(parse_expr("union(union(K2:1, bernoulli(1):1/2):1, bipartite(1):2/3)"))
 def test_lifted_unions_are_profiled_as_the_built_models(node):
-    # the dense model that evaluate builds is the oracle; a profiled lifted
-    # union, or the complement of a lifted operand, builds a graph instead
+    # the dense model built node by node is the oracle; a lifted union, or
+    # the complement of a lifted operand, builds a graph instead, which
+    # evaluate takes to the same model
     try:
         with _dense_guard():
-            built, profiled = evaluate(node), plan(node, profiled=True)
+            profiled = plan(node, profiled=True)
+            dense = oracles.dense_model(node)
             for t in range(2, 5):
-                if repetitive_cost(_size(built), profiled.lifted, t)[0] <= MAX_WORK:
-                    assert repetitive_of(node, t) == labeled_repetitive(built, t)
-            if profiled.lifted:
-                assert isinstance(profiled.build(), LabeledGraph)
+                if repetitive_cost(_size(dense), profiled.lifted, t)[0] <= MAX_WORK:
+                    assert repetitive_of(node, t) == labeled_repetitive(dense, t)
+            if profiled.looped is None:
+                assert evaluate(node) == dense
+    except _TooLarge:
+        return
+    finally:
+        dsl.LOADED.clear()
+
+
+@settings(max_examples=150)
+@given(st.one_of(_unions(_TREES), _TREES, _tensors(_FACTORS)), st.booleans())
+@example(parse_expr("bernoulli(1)"), False)
+@example(parse_expr("tensor(union(K2:1, bernoulli(1):1/2), C5)"), True)
+@example(parse_expr("complement(bipartite(0))"), False)
+def test_a_plan_builds_a_graph_exactly_when_it_is_lifted(node, profiled):
+    try:
+        with _dense_guard():
+            p = plan(node, profiled=profiled)
+            assert isinstance(p.build(), LabeledGraph) == p.lifted
     except _TooLarge:
         return
     finally:
