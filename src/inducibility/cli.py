@@ -47,7 +47,30 @@ def _natural(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_T = ("--t", {"type": int, "required": True})
+_QUANTUM = ("--quantum", {"required": True})
+_EXPR = ("expr", {})
+# each subcommand's help line and arguments; a list is one required choice among its flags
+_SUBCOMMANDS = {
+    "profile": ("profile of a construction", (_T, ("--flavor", {"choices": _FLAVORS, "default": "repetitive"}),
+                                              _EXPR)),
+    "density": ("density of a quantum target", (_T, _QUANTUM, _EXPR)),
+    "nested-profile": ("stationary nested profile", (_T, _EXPR)),
+    "limit": ("tensor-limit density", (_T, _QUANTUM, ("--factors", {"default": ""}), ("--nested", {"default": ""}))),
+    "estimate": ("Monte Carlo profile", (_T, ("--samples", {"type": int, "required": True}),
+                                         ("--seed", {"type": _natural, "required": True}), _EXPR)),
+    "bounds": ("closed-form bounds", (_T,)),
+    "tables": ("reproduce a result table", (("--which", {"choices": TABLES, "required": True}),)),
+    "convert": ("graph6 conversion", (["--graph6", "--encode"],)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names one.
+
+    A command line names its subcommand first, so `build_parser(argv[0])`
+    parses it as the full parser would, with the same help and error texts.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
     common.add_argument("--cache", metavar="DIR", default=None)
@@ -59,45 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact induced-subgraph densities of graph constructions.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("profile", parents=[common], help="profile of a construction")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--flavor", choices=_FLAVORS, default="repetitive")
-    p.add_argument("expr")
-
-    p = sub.add_parser("density", parents=[common], help="density of a quantum target")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--quantum", required=True)
-    p.add_argument("expr")
-
-    p = sub.add_parser("nested-profile", parents=[common], help="stationary nested profile")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("expr")
-
-    p = sub.add_parser("limit", parents=[common], help="tensor-limit density")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--quantum", required=True)
-    p.add_argument("--factors", default="")
-    p.add_argument("--nested", default="")
-
-    p = sub.add_parser("estimate", parents=[common], help="Monte Carlo profile")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=_natural, required=True)
-    p.add_argument("expr")
-
-    p = sub.add_parser("bounds", parents=[common], help="closed-form bounds")
-    p.add_argument("--t", type=int, required=True)
-
-    p = sub.add_parser("tables", parents=[common], help="reproduce a result table")
-    p.add_argument("--which", choices=TABLES, required=True)
-
-    p = sub.add_parser("convert", parents=[common], help="graph6 conversion")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph6")
-    group.add_argument("--encode")
-
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # a usage line names all eight, as the default metavar of the full parser does
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag in argument:
+                    group.add_argument(flag)
+            else:
+                p.add_argument(argument[0], **argument[1])
     return parser
 
 
@@ -337,8 +335,7 @@ def _render_table(payload: dict) -> str:
 def run_command(argv) -> int:
     # numpy's OpenBLAS would start an idle worker thread at import; no command calls BLAS
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         payload = None
         key = None
@@ -375,7 +372,24 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """Run the command line in sys.argv and end the process with its exit code.
+
+    Once stdout and stderr are flushed, os._exit skips the interpreter's
+    teardown. A traced or profiled process (coverage, pdb, cProfile), a
+    failed flush, and an exception from run_command take sys.exit instead.
+    To run a command in process and go on, call run_command.
+    """
+    code = run_command(sys.argv[1:])
+    monitoring = getattr(sys, "monitoring", None)  # which cProfile uses from CPython 3.12
+    if not (sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6)))):
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError, AttributeError):  # a closed or missing stream
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

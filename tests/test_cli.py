@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import math
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import inducibility.cli as cli
-from inducibility import graphs, models
+from inducibility import catalog, graphs, models
 from inducibility.catalog import catalog_rows, reproduce_table, run_row
 from inducibility.graphs import build_named, graph6_encode
 from inducibility.profiles import iso_table
@@ -781,3 +782,118 @@ def test_benchmark_tracing_runs(argv, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(spans.read_text())["spans"]
+
+
+# patches the expected value of exoo4's first row, so that the table fails
+_FAILING_ROW = (
+    "import inducibility.catalog as catalog\n"
+    "rows = catalog._ROWS['exoo4']\n"
+    "fields = {name: getattr(rows[0], name) for name in catalog.CatalogRow.__annotations__}\n"
+    "catalog._ROWS['exoo4'] = (catalog.CatalogRow(**{**fields, 'expected': '1/2'}),) + rows[1:]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, cached, setup",
+    [
+        (["profile", "C5", "--t", "3"], 0, True, ""),
+        (["profile", "K(", "--t", "3"], 2, False, ""),  # an evaluation error
+        (["profile", "C5"], 2, False, ""),  # a usage error
+        (["bogus"], 2, False, ""),
+        (["--version"], 0, False, ""),
+        (["profile", "-h"], 0, False, ""),
+        (["tables", "--which", "exoo4"], 1, False, _FAILING_ROW),
+    ],
+)
+def test_a_fresh_command_ends_as_run_command_returns(argv, code, cached, setup, capsys, monkeypatch, tmp_path):
+    # main ends the process by os._exit when run_command returns and by
+    # sys.exit when it raises; a fresh process prints, exits and caches
+    # what run_command gives in process, a --cache miss and then a hit
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    if setup:
+        monkeypatch.setitem(catalog._ROWS, "exoo4", catalog._ROWS["exoo4"])  # restored after the test
+        exec(setup, {})
+        fresh = [sys.executable, "-c", setup + "import inducibility.cli as cli\ncli.main()\n"]
+    else:
+        fresh = [sys.executable, "-m", "inducibility"]
+    results = {}
+    for side in ("in process", "fresh"):
+        cache = tmp_path / side
+        runs = []
+        for _ in range(2 if cached else 1):
+            full = argv + (["--cache", str(cache)] if cached else [])
+            if side == "fresh":
+                result = subprocess.run(fresh + full, env=dict(_src_env(), COLUMNS="80"), cwd=ROOT,
+                                        capture_output=True, text=True, timeout=60)
+                runs.append((result.returncode, result.stdout, result.stderr))
+            else:
+                runs.append(_run(capsys, full))
+        files = sorted((p.name, p.read_bytes()) for p in cache.iterdir()) if cached else None
+        results[side] = runs, files
+    assert results["fresh"] == results["in process"]
+    runs, files = results["fresh"]
+    assert {run[0] for run in runs} == {code}
+    assert not cached or (len(files) == 1 and runs[0] == runs[1])
+
+
+def test_main_skips_teardown_unless_a_profiler_watches():
+    # an atexit hook runs on sys.exit, which run_command's usage errors take,
+    # and not on os._exit; cProfile prints its statistics at teardown
+    code = ("import atexit, inducibility.cli as cli\n"
+            "atexit.register(print, 'teardown')\n"
+            "cli.main()\n")
+    env = _src_env()
+    for argv, teardown in ((["bounds", "--t", "4"], False), (["bogus"], True)):
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=ROOT,
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout.endswith("teardown\n") == teardown, argv
+    result = subprocess.run([sys.executable, "-m", "cProfile", "-m", "inducibility", "bounds", "--t", "4"],
+                            env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith('{\n  "command": "bounds",') and " function calls " in result.stdout
+
+
+def _help(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: inducibility ")
+    return captured
+
+
+def test_one_subcommand_parses_as_all_of_them(capsys, monkeypatch, tmp_path):
+    # run_command builds only the subparser argv[0] names; its help and
+    # the namespace it parses are those of the parser of all eight
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+        inputs = workloads.write_inputs(1, str(tmp_path))
+        argvs = [list(cmd.args) for make, _ in workloads.WORKLOADS.values() for cmd in make(inputs, 1).commands]
+    finally:
+        del sys.modules[spec.name]
+    readme = (ROOT / "README.md").read_text().splitlines()
+    argvs += [shlex.split(line, comments=True)[2:] for line in readme if line.startswith("$ inducibility ")]
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser()
+    assert {argv[0] for argv in argvs} == set(cli._SUBCOMMANDS) == set(cli._RUNNERS)
+    for name in cli._SUBCOMMANDS:
+        one = cli.build_parser(name)
+        assert _help(capsys, one, [name, "-h"]) == _help(capsys, full, [name, "-h"])
+        assert one.format_usage() == full.format_usage()
+    for argv in argvs:
+        assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv), argv
+
+
+def test_usage_errors_without_a_command_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: inducibility [-h] [--version]\n"
+             "                    {profile,density,nested-profile,limit,estimate,bounds,tables,convert}\n"
+             "                    ...\n")
+    assert _run(capsys, []) == (2, "", usage + "inducibility: error: the following arguments are required: command\n")
+    code, out, err = _run(capsys, ["bogus"])
+    assert (code, out) == (2, "") and err.startswith(usage + "inducibility: error: argument command: "
+                                                     "invalid choice: 'bogus' (choose from ")
+    assert all(name in err.splitlines()[-1] for name in cli._SUBCOMMANDS)

@@ -83,3 +83,12 @@ def test_star_import_binds_every_name():
         "print(json.dumps([name for name in inducibility.__all__ if name not in globals()]))"
     )
     assert missing == []
+
+
+def test_importing_the_main_module_runs_no_command():
+    # `python -m inducibility` runs the command line; an import of the
+    # module must not, since main ends the process that calls it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", "import inducibility.__main__; print('alive')"],
+                            env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "alive\n", "")
