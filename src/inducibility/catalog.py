@@ -10,10 +10,11 @@ model, nested and product are the functions density, nested_profile and
 limit_density, which the CLI's density, nested-profile and limit commands
 call too.  Under each of them, and under the CLI's profile, repetitive_of
 and induced_of take an expression node to its dsl.plan, a nested base
-included, and that plan to its profile through two helpers: _charge
+included, and that plan to its profile through three helpers: _charge
 charges plans as one product, the sum of what labeled_repetitive charges
-each factor, and _profile convolves a plan's factors' profiles, so an exact
-tensor is never built.
+each factor; _spectra transforms each factor once (model_spectrum), so an
+exact tensor is never built; and _profile inverts their spectral_product
+once, where a labeled profile is needed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .profiles import (
     quantum_density,
     repetitive_cost,
 )
-from .spectral import convolve, fourier, product_limit_density
+from .spectral import inverse_fourier, model_spectrum, product_limit_density, spectral_product
 
 TABLES = ("exoo4", "headline", "appendix5")
 
@@ -150,10 +151,16 @@ def _charge(plans, t: int, budget: int | None) -> None:
     charge(sum(c for c, _ in costs), unit, budget)
 
 
+def _spectra(p, t: int, budget: int | None) -> list:
+    """The t-spectra of a plan's factors, each transformed once: an exact tensor's factors, else the plan's own."""
+    return [model_spectrum(f.build(), t, budget) for f in p.factors or (p,)]
+
+
 def _profile(p, t: int, budget: int | None) -> LabeledProfile:
-    """Labeled repetitive t-profile of a plan: the xor convolution of its factors' profiles."""
-    profiles = [labeled_repetitive(f.build(), t, budget) for f in p.factors or (p,)]
-    return convolve(*profiles) if len(profiles) > 1 else profiles[0]
+    """Labeled repetitive t-profile of a plan: an exact tensor's is the inverse of its factors' spectral product."""
+    if not p.factors:
+        return labeled_repetitive(p.build(), t, budget)
+    return inverse_fourier(spectral_product(*_spectra(p, t, budget)))
 
 
 def repetitive_of(node, t: int, approx: bool = False, budget: int | None = None) -> LabeledProfile:
@@ -192,7 +199,7 @@ def induced_of(node, t: int, approx: bool = False, budget: int | None = None) ->
 
 
 def _nested(p, t: int, budget: int | None):
-    """A nested base's plan as nesting takes it: built, or a tensor's (size, convolved t-profile)."""
+    """A nested base's plan as nesting takes it: built, or a tensor's (size, t-profile from its factors' spectra)."""
     return (p.size, _profile(p, t, budget)) if p.factors else p.build()
 
 
@@ -213,11 +220,12 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
                   budget: int | None = None):
     """Repetitive density of Q in the tensor product of the limits of the
     comma-separated factors and of the nested composition of `nested`,
-    every input charged as one factor of one product before any is built."""
+    every input charged as one factor of one product before any is built,
+    and the spectra of every factor of every input multiplied at once."""
     plans = [plan(node, approx, profiled=True) for node in (parse_factors(factors) if factors else ())]
     base = [_loopless(parse_expr(nested), Q.t, approx, "the nested factor must be a loopless graph")] if nested else []
     _charge(plans + base, Q.t, budget)
-    spectra = [fourier(_profile(p, Q.t, budget)) for p in plans]
+    spectra = [s for p in plans for s in _spectra(p, Q.t, budget)]
     spectra += [nested_spectral(_nested(p, Q.t, budget), Q.t, budget) for p in base]
     return product_limit_density(Q, *spectra)
 

@@ -285,14 +285,14 @@ def _cache_load(directory: str, key: str):
     return payload if set(payload) == keys and isinstance(payload["meta"], dict) else None
 
 
-def _cache_store(directory: str, key: str, payload: dict) -> None:
+def _cache_store(directory: str, key: str, text: str) -> None:
     import tempfile
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -337,8 +337,7 @@ def run_command(argv) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        payload = None
-        key = None
+        payload = key = text = None
         if args.cache:
             key = _cache_key(args)
             payload = _cache_load(args.cache, key)
@@ -348,7 +347,8 @@ def run_command(argv) -> int:
         if payload is None:
             payload = _RUNNERS[args.command](args)
             if args.cache:
-                _cache_store(args.cache, key, payload)
+                text = _render_json(payload)  # the cached JSON, printed as it is
+                _cache_store(args.cache, key, text)
     # raised on purpose, or reached by bad input (a float overflow, deep nesting); others are bugs
     except (ValueError, ArithmeticError, RecursionError, BudgetError, DegenerateStationaryError, OSError,
             MemoryError) as exc:
@@ -357,7 +357,7 @@ def run_command(argv) -> int:
         return 2
     finally:
         LOADED.clear()
-    text = _render_json(payload) if args.format == "json" else _render_table(payload)
+    text = (text or _render_json(payload)) if args.format == "json" else _render_table(payload)
     try:
         print(text)
         sys.stdout.flush()

@@ -3,7 +3,10 @@
 The transform of a labeled profile r assigns to each edge set H the signed
 sum rhat(H) = sum over H' of (-1)^{|H and H'|} r(H').  It turns tensor
 products of step models into pointwise products, so densities in large
-tensor powers reduce to a handful of per-factor spectral values.
+tensor powers reduce to a handful of per-factor spectral values.  Each
+factor is transformed once (model_spectrum), the spectra are multiplied
+once, by spectral_product, the one product of factors, and inverse_fourier
+runs only where a labeled profile of the product is needed (convolve).
 """
 
 from __future__ import annotations
@@ -67,21 +70,16 @@ class SpectralProfile(OverOneDenominator):
         return self.type_values()[iso_table(self.t).type_index(key)]
 
 
-def _as_labeled_r(profile) -> LabeledProfile:
+def fourier(profile) -> SpectralProfile:
+    """Transform of a repetitive profile (labeled or by-type): its
+    numerators transformed, over its denominator."""
     if isinstance(profile, ProfileVector):
         profile = profile.as_labeled()
     if not isinstance(profile, LabeledProfile):
         raise TypeError("expected a labeled or unlabeled profile")
     if profile.flavor != "r":
         raise ValueError("the transform applies to repetitive profiles")
-    return profile
-
-
-def fourier(profile) -> SpectralProfile:
-    """Transform of a repetitive profile (labeled or by-type): its
-    numerators transformed, over its denominator."""
-    lab = _as_labeled_r(profile)
-    return SpectralProfile(lab.t, fwht_forward(lab.numerators), lab.denominator)
+    return SpectralProfile(profile.t, fwht_forward(profile.numerators), profile.denominator)
 
 
 def inverse_fourier(spectrum: SpectralProfile) -> LabeledProfile:
@@ -107,23 +105,9 @@ def spectral_product(*spectra: SpectralProfile) -> SpectralProfile:
 
 
 def convolve(*profiles) -> LabeledProfile:
-    """Labeled repetitive profile of the tensor product of the sources.
-
-    The numerators are transformed over their denominators: the transform
-    of the pointwise product of their transforms is the xor convolution
-    times the mask count, so one division ends it.  Floats are numerators
-    over 1.0, so they round as the inverse transform of spectral_product
-    rounds them."""
-    labs = [_as_labeled_r(p) for p in profiles]
-    if not labs:
-        raise ValueError("need at least one spectrum")
-    if any(lab.t != labs[0].t for lab in labs):
-        raise ValueError("order mismatch among spectra")
-    product, denominator = [1] * len(labs[0].numerators), 1
-    for lab in labs:
-        product = [a * b for a, b in zip(product, fwht_forward(lab.numerators))]
-        denominator *= lab.denominator
-    return LabeledProfile(labs[0].t, "r", fwht_forward(product), denominator * len(product))
+    """Labeled repetitive profile of the tensor product of the sources: the
+    inverse transform of the product of their transforms."""
+    return inverse_fourier(spectral_product(*map(fourier, profiles)))
 
 
 def model_spectrum(source, t: int, budget: int | None = None) -> SpectralProfile:

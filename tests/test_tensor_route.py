@@ -5,8 +5,8 @@ profile of the built product.  Exact trees of unions and complements,
 profiled through the graphs that their lifted parts build, against the
 dense models built node by node, and every plan building a graph exactly
 when it is lifted.  Also the inverted partition lift against the subset
-counter, and the integer convolution against a direct Fraction xor
-convolution and the Fraction transforms."""
+counter, and the integer convolution and limit --factors of a tensor
+against a direct Fraction xor convolution."""
 
 from __future__ import annotations
 
@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 import oracles
 from inducibility import dsl
-from inducibility.catalog import _loopless, _nested, density, induced_of, repetitive_of
+from inducibility.catalog import _loopless, _nested, density, induced_of, limit_density, repetitive_of
 from inducibility.dsl import Node, evaluate, parse_expr, plan, print_expr
 from inducibility.graphs import LabeledGraph, build_named, from_edges, graph6_encode, named_looped
 from inducibility.masks import pair_slots
 from inducibility.nesting import DegenerateStationaryError, stationary_profile, transition_matrix
 from inducibility.profiles import (
+    LabeledProfile,
     QuantumGraph,
     induced_from_repetitive,
     induced_profile,
@@ -34,7 +35,7 @@ from inducibility.profiles import (
     quantum_density,
     repetitive_cost,
 )
-from inducibility.spectral import convolve, fourier, inverse_fourier, spectral_product
+from inducibility.spectral import convolve, fourier
 from test_dsl import _TooLarge, _dense_guard
 
 MAX_WORK = 20000  # the most subsets or assignments the built route may count
@@ -189,10 +190,16 @@ def test_inverted_lift_round_trips(case):
 def test_integer_convolution_matches_the_fraction_transforms(factors, t):
     try:
         profiles = [labeled_repetitive(evaluate(f), t) for f in factors]
+        xor = oracles.xor_convolve(*profiles)
+        assert convolve(*profiles).values == xor
+        # limit --factors of the drawn tensor: each factor transformed, the spectra multiplied, Q read off
+        text = print_expr(factors[0] if len(factors) == 1 else Node("tensor", tuple(factors)))
+        expected = LabeledProfile(t, "r", xor).to_unlabeled()
+        for idx in range(len(iso_table(t).entries)):
+            Q = QuantumGraph.from_pairs(t, [(idx, 1)])
+            assert limit_density(Q, factors=text) == quantum_density(Q, expected)
     finally:
         dsl.LOADED.clear()
-    assert convolve(*profiles).values == oracles.xor_convolve(*profiles)
-    assert convolve(*profiles) == inverse_fourier(spectral_product(*map(fourier, profiles)))
 
 
 def test_induced_from_repetitive_checks_its_input():
