@@ -8,13 +8,15 @@ its expected value; running a table recomputes each row through the
 profile, nesting and spectral pipelines and compares.  The row modes
 model, nested and product are the functions density, nested_profile and
 limit_density, which the CLI's density, nested-profile and limit commands
-call too.  Under each of them, and under the CLI's profile, repetitive_of
-and induced_of take an expression node to its dsl.plan, a nested base
-included, and that plan to its profile through three helpers: _charge
-charges plans as one product, the sum of what labeled_repetitive charges
-each factor; _spectra transforms each factor once (model_spectrum), so an
-exact tensor is never built; and _profile inverts their spectral_product
-once, where a labeled profile is needed.
+call too.  Under each of them, and under the CLI's profile, repetitive_of,
+spectrum_of and induced_of take an expression node to its dsl.plan, a
+nested base included, and that plan to its profile through three helpers:
+_charge charges plans as one product, the sum of what labeled_repetitive
+charges each factor; _spectrum transforms each factor once
+(model_spectrum) and multiplies them (spectral_product), so an exact
+tensor is never built; and _profile inverts that product once, where a
+labeled profile is needed.  The spectral flavor is the product itself,
+never inverted.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .profiles import (
     quantum_density,
     repetitive_cost,
 )
-from .spectral import inverse_fourier, model_spectrum, product_limit_density, spectral_product
+from .spectral import SpectralProfile, inverse_fourier, model_spectrum, product_limit_density, spectral_product
 
 TABLES = ("exoo4", "headline", "appendix5")
 
@@ -151,16 +153,18 @@ def _charge(plans, t: int, budget: int | None) -> None:
     charge(sum(c for c, _ in costs), unit, budget)
 
 
-def _spectra(p, t: int, budget: int | None) -> list:
-    """The t-spectra of a plan's factors, each transformed once: an exact tensor's factors, else the plan's own."""
-    return [model_spectrum(f.build(), t, budget) for f in p.factors or (p,)]
+def _spectrum(p, t: int, budget: int | None) -> SpectralProfile:
+    """The t-spectrum of a plan: an exact tensor's factors each transformed
+    once and multiplied, any other plan's own spectrum as it is."""
+    spectra = [model_spectrum(f.build(), t, budget) for f in p.factors or (p,)]
+    return spectral_product(*spectra) if len(spectra) > 1 else spectra[0]
 
 
 def _profile(p, t: int, budget: int | None) -> LabeledProfile:
-    """Labeled repetitive t-profile of a plan: an exact tensor's is the inverse of its factors' spectral product."""
+    """Labeled repetitive t-profile of a plan: an exact tensor's is the inverse of its spectrum."""
     if not p.factors:
         return labeled_repetitive(p.build(), t, budget)
-    return inverse_fourier(spectral_product(*_spectra(p, t, budget)))
+    return inverse_fourier(_spectrum(p, t, budget))
 
 
 def repetitive_of(node, t: int, approx: bool = False, budget: int | None = None) -> LabeledProfile:
@@ -169,6 +173,14 @@ def repetitive_of(node, t: int, approx: bool = False, budget: int | None = None)
     p = plan(node, approx, profiled=True)
     _charge([p], t, budget)
     return _profile(p, t, budget)
+
+
+def spectrum_of(node, t: int, approx: bool = False, budget: int | None = None) -> SpectralProfile:
+    """Spectrum of the limit of a construction, charged as repetitive_of
+    charges it; an exact tensor's is its factors' product, never inverted."""
+    p = plan(node, approx, profiled=True)
+    _charge([p], t, budget)
+    return _spectrum(p, t, budget)
 
 
 def _loopless(node, t: int, approx: bool, message: str,
@@ -225,7 +237,7 @@ def limit_density(Q: QuantumGraph, factors: str = "", nested: str = "", approx: 
     plans = [plan(node, approx, profiled=True) for node in (parse_factors(factors) if factors else ())]
     base = [_loopless(parse_expr(nested), Q.t, approx, "the nested factor must be a loopless graph")] if nested else []
     _charge(plans + base, Q.t, budget)
-    spectra = [s for p in plans for s in _spectra(p, Q.t, budget)]
+    spectra = [_spectrum(p, Q.t, budget) for p in plans]
     spectra += [nested_spectral(_nested(p, Q.t, budget), Q.t, budget) for p in base]
     return product_limit_density(Q, *spectra)
 

@@ -25,12 +25,12 @@ from .catalog import (
     nested_profile,
     repetitive_of,
     reproduce_table,
+    spectrum_of,
 )
 from .dsl import LOADED, denote, loaded_paths, parse_expr, parse_factors, parse_quantum, plan, print_expr
 from .graphs import check_graph6, graph6_decode, graph6_encode
 from .nesting import DegenerateStationaryError
 from .profiles import BudgetError, charge_samples, iso_table, monte_carlo_profile
-from .spectral import fourier
 
 _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
@@ -131,12 +131,11 @@ def _run_profile(args) -> dict:
     node = parse_expr(args.expr)
     if args.flavor == "induced":
         values = induced_of(node, args.t, args.approx, budget=args.budget).values
+    elif args.flavor == "spectral":
+        values = spectrum_of(node, args.t, args.approx, budget=args.budget).type_values()
     else:
         lab = repetitive_of(node, args.t, args.approx, budget=args.budget)
-        if args.flavor == "repetitive":
-            values = lab.to_unlabeled().values
-        else:
-            values = (lab if args.flavor == "labeled" else fourier(lab)).type_values()
+        values = lab.to_unlabeled().values if args.flavor == "repetitive" else lab.type_values()
     names = iso_table(args.t).type_names()
     return _profile_payload(f"profile:{args.flavor}", args.t, names, values, args)
 

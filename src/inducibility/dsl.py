@@ -271,6 +271,14 @@ OPERATORS = frozenset({*_GRAPH_OPERATORS, "complement", "union", "bernoulli", "b
 Plan = namedtuple("Plan", "size looped lifted build factors", defaults=((),))
 
 
+def _check_order(n: int, node) -> None:
+    """graphs.check_order, refusing at the node's column."""
+    try:
+        check_order(n)
+    except ValueError as exc:
+        raise ExprError(str(exc), node.span[0]) from None
+
+
 def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
     """Plan of a construction, from one walk of its tree: the vertex or type
     count; whether a graph is looped (all or none), None for a model;
@@ -303,7 +311,10 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
             raise ValueError("union weights must be positive")
         lifted = not approx and all(p.lifted for p in parts) and len(
             {Fraction(w) / p.size for p, w in zip(parts, weights)}) == 1
-        return Plan(sum(p.size for p in parts), None, lifted, lambda: reduce(disjoint_union, [p.build() for p in parts])
+        size = sum(p.size for p in parts)
+        if lifted:  # built as a graph, so capped as one
+            _check_order(size, node)
+        return Plan(size, None, lifted, lambda: reduce(disjoint_union, [p.build() for p in parts])
                     if lifted else model_union([(denote(p, model=True), w) for p, w in zip(parts, weights)]))
     if op == "complement":
         n, looped, lifted, inner, _ = plan(args[0], approx)
@@ -319,11 +330,8 @@ def plan(node, approx: bool = False, profiled: bool = False) -> Plan:
         raise ExprError(f"{op} applies to graphs only", node.span[0])
     if not all(p.lifted for p in plans):
         return Plan(size, None, False, lambda: reduce(model_tensor, [denote(p, model=True) for p in plans]), factors)
-    try:
-        if not profiled:
-            check_order(size)
-    except ValueError as exc:
-        raise ExprError(str(exc), node.span[0]) from None
+    if not profiled:
+        _check_order(size, node)
     if op == "compose" and any(p.looped for p in plans):
         raise ValueError("composition is defined for loopless graphs")
     # blowup and compose are loopless; a tensor vertex is looped iff an odd number of coordinates are

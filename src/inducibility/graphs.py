@@ -362,67 +362,34 @@ def _row_code(rows, v: int, chosen) -> int:
 
 
 def canonical_form(G: LabeledGraph) -> CanonicalCode:
-    """Exhaustive canonical labeling for graphs on at most 10 vertices."""
+    """Exhaustive canonical labeling for graphs on at most 10 vertices, by
+    one depth-first search over vertex orders.  Each depth tries the unused
+    vertices by increasing row code and stops at the first code above the
+    best at that depth; a smaller code overwrites the best from that depth
+    on and restarts the count.  So every leaf reached carries the best code
+    so far, and the leaves counted since the last restart are the
+    automorphisms."""
     n = G.n
     if n > CANONICAL_LIMIT:
         raise ValueError(f"canonical forms are limited to {CANONICAL_LIMIT} vertices")
     rows = G.rows
-    verts = list(range(n))
-
-    def greedy(chosen, used):
-        # complete the current placement by always taking a minimal next row
-        out = []
-        current = list(chosen)
-        while len(current) < n:
-            best_v = None
-            best_r = None
-            for v in verts:
-                if used & (1 << v):
-                    continue
-                r = _row_code(rows, v, current)
-                if best_r is None or r < best_r:
-                    best_r, best_v = r, v
-            out.append(best_r)
-            used |= 1 << best_v
-            current.append(best_v)
-        return out
-
-    best = [_row_code(rows, v, range(v)) for v in verts]
-
-    def search(chosen, used, depth):
-        nonlocal best
-        if depth == n:
-            return
-        for v in verts:
-            if used & (1 << v):
-                continue
-            r = _row_code(rows, v, chosen)
-            if r > best[depth]:
-                continue
-            chosen.append(v)
-            if r < best[depth]:
-                best = best[:depth] + [r] + greedy(chosen, used | (1 << v))
-            search(chosen, used | (1 << v), depth + 1)
-            chosen.pop()
-
-    search([], 0, 0)
-
+    best = [1 << n] * n  # above every row code, which has at most n bits
     count = 0
 
-    def count_matches(chosen, used, depth):
+    def search(chosen, depth):
         nonlocal count
         if depth == n:
             count += 1
             return
-        for v in verts:
-            if used & (1 << v):
-                continue
-            if _row_code(rows, v, chosen) == best[depth]:
-                chosen.append(v)
-                count_matches(chosen, used | (1 << v), depth + 1)
-                chosen.pop()
+        for r, v in sorted((_row_code(rows, v, chosen), v) for v in range(n) if v not in chosen):
+            if r > best[depth]:
+                break
+            if r < best[depth]:
+                best[depth:] = [r] + [1 << n] * (n - depth - 1)
+                count = 0
+            search(chosen + [v], depth + 1)
 
-    count_matches([], 0, 0)
+    search([], 0)
     return CanonicalCode(n=n, bits=tuple(best), aut_count=count)
 
 

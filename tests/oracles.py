@@ -7,8 +7,9 @@ the xor convolution of profiles a pair of masks at a time, the dense
 step model of a construction built node by node,
 the Monte Carlo sampler that drew each batch whole, the subset counter
 that counts the last vertex a class at a time in increasing order,
-exact arithmetic in Q(sqrt 3) with Lagrange interpolation, and stdlib
-dataclass twins of the value classes that `inducibility.frozen` makes.
+exact arithmetic in Q(sqrt 3) with Lagrange interpolation, the canonical
+code of a graph over all of its vertex orders, and stdlib dataclass twins
+of the value classes that `inducibility.frozen` makes.
 They share no arithmetic with the package; the lift routes take their
 pattern counts from its counter, and the sampler reads its packed
 adjacency."""
@@ -418,6 +419,20 @@ def evaluate_polynomial(coeffs, x):
     for c in reversed(coeffs):
         out = out * x + c
     return out
+
+
+def canonical_by_orders(G) -> tuple:
+    """The minimal row code of G over all n! vertex orders, and how many
+    orders reach it.  Row j of an order's code reads, as binary digits, the
+    loop bit of its j-th vertex and then that vertex's adjacency to the
+    vertices placed before it, first to last."""
+    codes = [
+        tuple(int("".join(str(int(G.has_edge(v, u) if u != v else G.has_loop(v)))
+                          for u in (v,) + order[:j]), 2) for j, v in enumerate(order))
+        for order in itertools.permutations(range(G.n))
+    ]
+    best = min(codes)
+    return best, codes.count(best)
 
 
 # Twins of the package's value classes, under the same names: the same

@@ -103,6 +103,10 @@ def test_estimate_is_seeded(capsys):
     entry = first["values"][0]
     assert entry["num"] is None and entry["den"] is None
     assert "stderr" in entry
+    # one sample is one type with value 1.0, and no spread
+    one = _run_json(capsys, ["estimate", "--t", "3", "--samples", "1", "--seed", "3", "C5"])
+    assert sorted(v["approx"] for v in one["values"]) == [0.0, 0.0, 0.0, 1.0]
+    assert all(v["stderr"] == 0.0 for v in one["values"])
 
 
 def test_bounds_payload(capsys):
@@ -214,6 +218,15 @@ def _refuse(*args):
     raise AssertionError("a graph was built")
 
 
+def test_the_spectral_flavor_of_a_tensor_is_its_factors_product(capsys, monkeypatch):
+    # never inverted: the same bytes as the transform of the built Paley(9)
+    monkeypatch.setattr(catalog, "inverse_fourier", _refuse)
+    argv = ["profile", "--t", "4", "--flavor", "spectral"]
+    code, out, err = _run(capsys, argv + ["tensor(K3, K3)"])
+    assert (code, err) == (0, "")
+    assert _run(capsys, argv + ["paley(9)"]) == (0, out, "")
+
+
 def test_named_leaves_are_charged_before_building(capsys, monkeypatch):
     monkeypatch.setattr(graphs, "LabeledGraph", _refuse)
     expected = f"error: {math.comb(65536, 3)} subsets exceed the budget of 10\n"
@@ -247,6 +260,7 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
     assert _refuse_everywhere(monkeypatch, models.model_union, "a union was built")
     capped = "construction has 131072 vertices, above the limit of 65536; use a step-model or spectral route instead"
     capped90000 = capped.replace("131072", "90000")
+    capped80000 = capped.replace("131072", "80000")
     looped = "composition is defined over loopless outer graphs"
     profile = ["profile", "--t", "3", "--budget", "10"]
     for argv, message in (
@@ -257,6 +271,9 @@ def test_operator_trees_are_charged_before_building(capsys, monkeypatch):
         (profile + ["union(cayley2(10; 1):1, bernoulli(1/2):1)"],
          "1076890625 assignments exceed the budget of 10; consider monte_carlo_profile"),
         (profile + ["union(K65536:1)"], f"{math.comb(65536, 3)} subsets exceed the budget of 10"),
+        # a lifted union is built as a graph, so it is capped, at its column
+        (["profile", "--t", "2", "--budget", "10000000000", "union(K40000:1, K40000:1)"],
+         f"{capped80000} (at column 1)"),
         (["nested-profile", "--t", "3", "--budget", "10", "compose(K200, K200)"],
          f"{math.comb(40000, 3)} subsets exceed the budget of 10"),
         # a tensor base is charged its factors' sum, as repetitive_of charges it
@@ -316,8 +333,8 @@ def test_every_budget_defaults_to_none_and_charge_decides():
     budgeted = {f.__name__: inspect.signature(f).parameters["budget"].default
                 for f in functions if inspect.isfunction(f) and "budget" in inspect.signature(f).parameters}
     assert {"induced_profile", "labeled_repetitive", "monte_carlo_profile", "model_spectrum", "stationary_profile",
-            "transition_matrix", "repetitive_of", "induced_of", "reproduce_table", "density", "limit_density",
-            "charge"} <= set(budgeted)
+            "transition_matrix", "repetitive_of", "spectrum_of", "induced_of", "reproduce_table", "density",
+            "limit_density", "charge"} <= set(budgeted)
     assert all(default is None for default in budgeted.values()), budgeted
     profiles.charge(10 ** 9, "subsets")
     with pytest.raises(profiles.BudgetError, match="^1000000001 subsets exceed the budget of 1000000000$"):
@@ -345,6 +362,9 @@ def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
         # so is a lifted tensor with a model factor, built as a graph
         (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "tensor(union(K300:1), K300)"],
          f"{capped} (at column 1)"),
+        # and so is a lifted union
+        (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "union(K40000:1, K40000:1)"],
+         f"{capped.replace('90000', '80000')} (at column 1)"),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv

@@ -346,6 +346,7 @@ def test_parse_quantum_inference_and_errors():
     assert Q.describe() == "K4 + A4"
     weighted = parse_quantum("1/2*C4 + 1/2*M4")
     assert weighted.coefficients[0][1] == Fraction(1, 2)
+    assert weighted.describe() == "1/2*M4 + 1/2*C4"
     minus = parse_quantum("P4 - K4", t=4)
     names = {iso_table(4).entries[i].name: c for i, c in minus.coefficients}
     assert names == {"P4": Fraction(1), "K4": Fraction(-1)}

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inducibility.graphs import (
     LabeledGraph,
@@ -22,6 +24,7 @@ from inducibility.graphs import (
     mask_of_vertices,
     tensor,
 )
+from oracles import canonical_by_orders
 
 
 def _random_graph(rng: random.Random, n: int) -> LabeledGraph:
@@ -93,6 +96,8 @@ def test_compose_sizes_multiply():
     assert G.n == 15
     # each C5 edge contributes a 3x3 cross join, each part holds one P3
     assert G.edge_count() == 5 * 9 + 5 * 2
+    with pytest.raises(ValueError, match="^composition is defined for loopless graphs$"):
+        compose(build_named("C", [5]), build_named("loopK", [2]))
 
 
 def test_tensor_xor_rule():
@@ -169,6 +174,16 @@ def test_canonical_form_is_isomorphism_invariant():
         sigma = list(range(n))
         rng.shuffle(sigma)
         assert canonical_form(G) == canonical_form(_relabel(G, sigma))
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_canonical_form_matches_brute_force(n, seed, density):
+    # the minimal code over all n! vertex orders, and how many orders reach it
+    rng = random.Random(seed)
+    G = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density],
+                   [u for u in range(n) if rng.random() < density])
+    code = canonical_form(G)
+    assert (code.n, code.bits, code.aut_count) == (n, *canonical_by_orders(G))
 
 
 def test_canonical_form_separates_nonisomorphic_pairs():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from inducibility import dsl
-from inducibility.catalog import _loopless, _nested, density, induced_of, limit_density, repetitive_of
+from inducibility.catalog import _loopless, _nested, density, induced_of, limit_density, repetitive_of, spectrum_of
 from inducibility.dsl import Node, evaluate, parse_expr, plan, print_expr
 from inducibility.graphs import LabeledGraph, build_named, from_edges, graph6_encode, named_looped
 from inducibility.masks import pair_slots
@@ -118,7 +118,7 @@ def test_tensor_profiles_match_the_built_product(node, data):
         lab = repetitive_of(node, t)
         assert lab == built
         assert lab.to_unlabeled() == built.to_unlabeled()
-        assert fourier(lab) == fourier(built)
+        assert fourier(lab) == fourier(built) == spectrum_of(node, t)
 
         coefficients = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2), label="Q")
         types = len(iso_table(t).entries)
