@@ -1,7 +1,7 @@
 """Labeled graphs with optional loops and the operators used to assemble
 extremal constructions: complement, blow-up, composition, tensor product
 and disjoint union, together with a catalogue of named graphs, canonical
-forms for small graphs, twin detection and graph6 interchange.
+forms for small graphs, twin detection, xor-invariance and graph6 interchange.
 
 Loops are first class: a loop marks a vertex whose blow-up copies form a
 clique, and complementation flips loops along with edges.
@@ -88,6 +88,27 @@ def _clear_masks(width: int) -> list[int]:
     full = (1 << width) - 1
     runs = (1 << i for i in range(width.bit_length() - 1))
     return [full // ((1 << 2 * j) - 1) * ((1 << j) - 1) for j in runs]
+
+
+def _xor_columns(row: int, j: int, mask: int) -> int:
+    """Row with columns v and v xor j swapped, j = 2**i: a j-block swap under _clear_masks(width)[i]."""
+    return ((row >> j) & mask) | ((row & mask) << j)
+
+
+def xor_row(G: LabeledGraph) -> int | None:
+    """Row 0 of a graph whose every row u is row 0 with its columns permuted
+    by v -> v xor u, so that u ~ v depends on u xor v alone; else None.
+    Row u is checked against row u xor lowbit(u) by the block swap that
+    _cayley2 builds it with."""
+    n, rows = G.n, G.rows
+    if n & (n - 1):
+        return None
+    clear = _clear_masks(n)
+    for u in range(1, n):
+        j = u & -u
+        if rows[u] != _xor_columns(rows[u ^ j], j, clear[j.bit_length() - 1]):
+            return None
+    return rows[0]
 
 
 def transpose(rows) -> list[int]:
@@ -267,12 +288,11 @@ def _cayley2(n: int, weights) -> LabeledGraph:
     wset = set(weights)
     size = 1 << n
     clear = _clear_masks(size)
-    # row u is row u ^ j with its columns xored by j = lowbit(u): a j-block swap
+    # row u is row u ^ j with its columns xored by j = lowbit(u)
     rows = [sum(1 << g for g in range(size) if g.bit_count() in wset)]
     for u in range(1, size):
         j = u & -u
-        row, mask = rows[u ^ j], clear[j.bit_length() - 1]
-        rows.append(((row >> j) & mask) | ((row & mask) << j))
+        rows.append(_xor_columns(rows[u ^ j], j, clear[j.bit_length() - 1]))
     return LabeledGraph(size, tuple(rows))
 
 

@@ -36,38 +36,34 @@ def slot_of(t: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _adjacent_swaps(t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per adjacent transposition (s, s+1): the pairs of slots it swaps."""
-    index = slot_of(t)
-    return tuple(
-        tuple(
-            (index[(min(a, s), max(a, s))], index[(min(a, s + 1), max(a, s + 1))])
-            for a in range(t)
-            if a not in (s, s + 1)
-        )
-        for s in range(t - 1)
-    )
+def _swap_tables(t: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per adjacent transposition (s, s+1), its action on the 15-bit keys
+    mask | loops << slot_count(t) of t <= 5 vertices, by 5-bit chunks:
+    table[c][bits] is the image of bits in chunk c."""
+    m, index = slot_count(t), slot_of(t)
+    out = []
+    for s in range(t - 1):
+        sigma = [s + 1 if v == s else s if v == s + 1 else v for v in range(t)]
+        to = [index[tuple(sorted((sigma[i], sigma[j])))] for i, j in pair_slots(t)] + [m + v for v in sigma]
+        out.append(tuple(_unions([1 << d for d in to[c:c + 5]]) for c in (0, 5, 10)))
+    return tuple(out)
 
 
 def orbit(t: int, mask: int, loops: int = 0) -> frozenset[tuple[int, int]]:
-    """Relabelings of the decorated graph (mask, loop bits) on t vertices,
-    as the closure under the t-1 adjacent transpositions."""
-    swaps = _adjacent_swaps(t)
-    seen = {(mask, loops)}
-    todo = [(mask, loops)]
+    """Relabelings of the decorated graph (mask, loop bits) on t <= 5
+    vertices, as the closure under the t-1 adjacent transpositions."""
+    m, swaps = slot_count(t), _swap_tables(t)
+    seen = {mask | loops << m}
+    todo = list(seen)
     while todo:
-        mask, loops = todo.pop()
-        for s, pairs in enumerate(swaps):
-            image = mask
-            for p, q in pairs:
-                flip = ((image >> p) ^ (image >> q)) & 1
-                image ^= (flip << p) | (flip << q)
-            flip = ((loops >> s) ^ (loops >> (s + 1))) & 1
-            key = (image, loops ^ ((flip << s) | (flip << (s + 1))))
-            if key not in seen:
-                seen.add(key)
-                todo.append(key)
-    return frozenset(seen)
+        key = todo.pop()
+        low, mid, high = key & 31, key >> 5 & 31, key >> 10
+        for a, b, c in swaps:
+            image = a[low] | b[mid] | c[high]
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return frozenset((key & ((1 << m) - 1), key >> m) for key in seen)
 
 
 @lru_cache(maxsize=None)

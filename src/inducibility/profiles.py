@@ -27,6 +27,7 @@ from .graphs import (
     graph6_encode,
     graph_from_mask,
     mask_of,
+    xor_row,
 )
 from .models import APPROX_TOL, StepModel, is_exact, support_graph
 
@@ -604,12 +605,19 @@ def _packed_adjacency(G: LabeledGraph):
     return np.frombuffer(raw, dtype=np.uint8).reshape(G.n, nbytes)
 
 
-def _packed_source(source):
-    """What sampling reads, converted once per estimate: a graph's packed
-    adjacency rows, or a model's normalized float masses and weights."""
+def _packed_source(source, t: int):
+    """What sampling reads at order t, converted once per estimate: a graph
+    with an xor_row, one table per slot of that row's bits shifted to the slot
+    in the narrowest unsigned dtype; any other graph, its packed adjacency
+    rows; a model, its normalized float masses and weights."""
     import numpy as np
     if isinstance(source, LabeledGraph):
-        return _packed_adjacency(source)
+        row, m = xor_row(source), masks.slot_count(t)
+        if row is None:
+            return _packed_adjacency(source)
+        dtype = np.min_scalar_type(1 << (m - 1))
+        bits = np.unpackbits(np.frombuffer(row.to_bytes((source.n + 7) // 8, "little"), np.uint8), bitorder="little")
+        return list(bits[:source.n].astype(dtype) << np.arange(m, dtype=dtype)[:, None])
     mass = np.array([float(mu) for mu in source.masses])
     return mass / mass.sum(), np.array([[float(p) for p in row] for row in source.w])
 
@@ -636,29 +644,34 @@ _CHUNK = 1 << 11  # graph samples per chunk, and model samples per comparison
 
 
 def _sample_masks(packed, t, rng, count, pairs):
-    """Yield int64 edge-slot mask arrays for `count` samples from a graph or
+    """Yield edge-slot mask arrays for `count` samples from a graph or
     model packed by _packed_source.  A graph's vertices are drawn _CHUNK
     samples at a time, one array per chunk: successive `rng.integers` calls
     continue one stream, so the draws are those of a single call, and the
-    live arrays are O(_CHUNK * t) whatever `count` is.  A model keeps its
+    live arrays are O(_CHUNK * t) whatever `count` is; slot (i, j) of a graph's
+    tables reads table[slot][u_i ^ u_j], in their dtype.  A model keeps its
     draw order per batch of _BATCH samples, the types of the whole batch
     first, drawn _CHUNK samples at a time into one int32 array (rng.choice
     draws its uniforms in order), then one uniform per slot, drawn into one
     buffer per batch and compared chunk by chunk."""
     import numpy as np
     if not isinstance(packed, tuple):
-        n, nbytes = packed.shape
-        flat = packed.reshape(-1)
+        tables = isinstance(packed, list)
+        n = packed[0].size if tables else len(packed)
         for done in range(0, count, _CHUNK):
-            # one contiguous row per sample position, and its row starts in
-            # `flat` computed once for all its slots; the byte and shift are
-            # taken per slot, since two more arrays raise a small shard's peak
+            # one contiguous row per sample position; packed rows take its row
+            # starts in `flat` once for all its slots, and the byte and shift
+            # per slot, since two more arrays raise a small shard's peak
             cols = rng.integers(0, n, size=(min(count - done, _CHUNK), t)).T.copy()
-            rows = cols * nbytes
-            mask = np.zeros(cols.shape[1], dtype=np.int64)
-            for slot, (i, j) in enumerate(pairs):
-                v = cols[j]
-                mask |= ((flat[rows[i] + (v >> 3)] >> (v & 7)) & 1) << slot
+            mask = np.zeros(cols.shape[1], dtype=packed[0].dtype if tables else np.int64)
+            if tables:
+                for table, (i, j) in zip(packed, pairs):
+                    mask |= table[cols[i] ^ cols[j]]
+            else:
+                flat, rows = packed.reshape(-1), cols * packed.shape[1]
+                for slot, (i, j) in enumerate(pairs):
+                    v = cols[j]
+                    mask |= ((flat[rows[i] + (v >> 3)] >> (v & 7)) & 1) << slot
             yield mask
     else:
         mass, wf = packed
@@ -693,7 +706,7 @@ def _sampled_masks(source, t: int, samples: int, seed: int, budget: int | None =
     charge_samples(samples, budget)
     if not isinstance(source, (LabeledGraph, StepModel)):
         raise TypeError("source must be a LabeledGraph or StepModel")
-    packed = _packed_source(source)
+    packed = _packed_source(source, t)
     pairs = masks.pair_slots(t)
     base, extra = divmod(samples, MC_SHARDS)
     for shard, seq in enumerate(np.random.SeedSequence(seed).spawn(MC_SHARDS)):

@@ -1,18 +1,19 @@
 """Slow reference routes kept as oracles for the fast ones: the Fraction
 enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
-block-swap transpose and the translated cayley2 rows replaced, the
-partition lift expanded bit by bit with the routes over it in Fractions,
-the xor convolution of profiles a pair of masks at a time, the dense
-step model of a construction built node by node,
-the Monte Carlo sampler that drew each batch whole, the subset counter
+block-swap transpose and the translated cayley2 rows replaced, the xor
+row by its definition, the orbit of a decorated graph over all of its
+relabelings, the partition lift expanded bit by bit with the routes over
+it in Fractions, the xor convolution of profiles a pair of masks at a
+time, the dense step model of a construction built node by node, the
+Monte Carlo sampler that drew each batch whole, the subset counter
 that counts the last vertex a class at a time in increasing order,
 exact arithmetic in Q(sqrt 3) with Lagrange interpolation, the canonical
 code of a graph over all of its vertex orders, and stdlib dataclass twins
 of the value classes that `inducibility.frozen` makes.
 They share no arithmetic with the package; the lift routes take their
 pattern counts from its counter, and the sampler reads its packed
-adjacency."""
+adjacency or slot tables."""
 
 from __future__ import annotations
 
@@ -138,22 +139,50 @@ def cayley2_rows(n: int, weights) -> list:
     return rows
 
 
+def xor_row(G):
+    """Row 0 of G if bit v of every row u is bit u xor v of row 0, else None."""
+    n = G.n
+    if n & (n - 1):
+        return None
+    row = G.rows[0]
+    same = all((G.rows[u] >> v & 1) == (row >> (u ^ v) & 1) for u in range(n) for v in range(n))
+    return row if same else None
+
+
+def orbit_by_relabelings(t: int, mask: int, loops: int = 0) -> frozenset:
+    """The (mask, loop bits) images of a decorated graph on t vertices under
+    all t! relabelings: pair (i, j) of the image is pair (sigma[i], sigma[j])
+    of the graph, and loop i its loop sigma[i]."""
+    pairs = masks.pair_slots(t)
+    adjacent = {frozenset(p) for k, p in enumerate(pairs) if mask >> k & 1}
+    out = set()
+    for sigma in itertools.permutations(range(t)):
+        image = sum(1 << k for k, (i, j) in enumerate(pairs) if frozenset((sigma[i], sigma[j])) in adjacent)
+        out.add((image, sum(1 << i for i in range(t) if loops >> sigma[i] & 1)))
+    return frozenset(out)
+
+
 def sample_masks(packed, t, rng, count, pairs):
     """Yield int64 mask arrays for `count` samples from a graph or model
     packed by `profiles._packed_source`, in batches of up to 2^20 samples
-    drawn by one call each; every slot reads its own byte and shift, and a
-    model compares each slot over the whole batch."""
+    drawn by one call each; every slot reads its own byte and shift, or
+    its table at the xor of its two vertices, and a model compares each
+    slot over the whole batch."""
     import numpy as np
     done = 0
     if not isinstance(packed, tuple):
-        n = len(packed)
+        tables = isinstance(packed, list)
+        n = len(packed[0]) if tables else len(packed)
         while done < count:
             batch = min(count - done, 1 << 20)
             verts = rng.integers(0, n, size=(batch, t))
             mask = np.zeros(batch, dtype=np.int64)
             for slot, (i, j) in enumerate(pairs):
-                v = verts[:, j]
-                mask |= ((packed[verts[:, i], v >> 3] >> (v & 7)) & 1) << slot
+                u, v = verts[:, i], verts[:, j]
+                if tables:
+                    mask |= packed[slot][u ^ v]
+                else:
+                    mask |= ((packed[u, v >> 3] >> (v & 7)) & 1) << slot
             yield mask
             done += batch
     else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -715,6 +716,21 @@ def test_lifted_estimates_sample_the_model_of_the_built_graph(capsys, monkeypatc
                          ("tensor(union(K2:1, bernoulli(1):1/2), C5)", mixed)):
         payload = _run_json(capsys, ["estimate", "--t", "3", "--samples", "2000", "--seed", "1", expr])
         assert tuple((v["approx"], v["stderr"]) for v in payload["values"]) == pinned, expr
+
+
+def test_xor_invariant_estimates_keep_their_bytes(capsys):
+    # a Cayley graph is sampled from its row 0's slot tables, with the draws
+    # and the output bytes of its packed rows; the second is looped
+    for argv, digest, key, approx in (
+        (["estimate", "--t", "4", "--samples", "100000", "--seed", "1", "cayley2(10; 1, 2, 5, 6, 9, 10)"],
+         "a8116824dfbb8584bc1ae29ab627e6f5a5a54310ae03c38de32e8182acb2d6d8", "K4", 0.01845),
+        (["estimate", "--t", "5", "--samples", "20000", "--seed", "3", "cayley2(6; 0, 1, 2)"],
+         "c29a05bff6f50891da13eece6392cbeac0e25a4d0ec2ae1d687eef1306488097", "D_?", 0.063),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert {v["type"]: v["approx"] for v in json.loads(out)["values"]}[key] == approx
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv[-1]
 
 
 def _src_env() -> dict:

@@ -1,10 +1,12 @@
 """Differential tests of the bit-parallel graph code against the bit-by-bit
 oracles in tests/oracles.py: the block-swap transpose behind the symmetry
-check, cayley2 rows by translation, the row formulas of the complete
-families and the widened rows of the product operators."""
+check, cayley2 rows by translation, the xor row of xor-invariant graphs,
+the row formulas of the complete families and the widened rows of the
+product operators."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import sys
@@ -18,12 +20,15 @@ from inducibility.graphs import (
     LabeledGraph,
     blow_up,
     build_named,
+    complement,
     compose,
     from_edges,
     tensor,
     transpose,
+    xor_row,
 )
 from oracles import cayley2_rows, symmetry_violation, transpose_bits
+from oracles import xor_row as xor_row_by_definition
 
 
 def _random_symmetric(rng: random.Random, n: int) -> list:
@@ -100,6 +105,68 @@ def test_first_asymmetry_in_row_order_is_reported():
 def test_cayley2_rows_match_the_generator_loop(case):
     d, weights = case
     assert list(build_named("cayley2", [d, *sorted(weights)]).rows) == cayley2_rows(d, weights)
+
+
+def _cayley_graphs() -> list:
+    """Every cayley2(d; W) with d <= 5, then tensors, complements, blowups
+    by powers of two and composes of the smaller ones."""
+    leaves = [build_named("cayley2", [d, *W]) for d in range(1, 6)
+              for k in range(1, d + 2) for W in itertools.combinations(range(d + 1), k)]
+    rng = random.Random(5)
+    small = [G for G in leaves if G.n <= 8]
+    loopless = [G for G in small if G.is_loopless]
+    out = list(leaves)
+    for _ in range(40):
+        G, H = rng.sample(small, 2)
+        G0, H0 = rng.sample(loopless, 2)
+        out += [tensor(G, H), complement(tensor(G, H)), blow_up(G, rng.choice([2, 4])), compose(G0, H0),
+                blow_up(tensor(complement(G0), H), 2)]
+    return out
+
+
+def _xor_invariant(d: int, connection: int) -> LabeledGraph:
+    """The graph on d-bit vectors with u ~ v iff bit u ^ v of connection is set."""
+    n = 1 << d
+    return LabeledGraph(n, tuple(sum(1 << v for v in range(n) if connection >> (u ^ v) & 1) for u in range(n)))
+
+
+@st.composite
+def maybe_xor_invariant(draw):
+    """A random graph, most often on a power of two of vertices, or a
+    random xor-invariant graph."""
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 6))
+        return _xor_invariant(d, draw(st.integers(0, (1 << (1 << d)) - 1)))
+    n = draw(st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 40)))
+    return LabeledGraph(n, tuple(_random_symmetric(random.Random(draw(st.integers(0, 2**32))), n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maybe_xor_invariant())
+def test_xor_row_matches_its_definition(G):
+    assert xor_row(G) == xor_row_by_definition(G)
+
+
+def test_xor_row_of_cayley_graphs_and_their_products():
+    for G in _cayley_graphs():
+        assert xor_row(G) == xor_row_by_definition(G) == G.rows[0], G
+    assert xor_row(blow_up(build_named("cayley2", [2, 1]), 3)) is None  # 12 vertices
+
+
+def test_xor_row_refuses_a_flipped_pair_and_mixed_loops():
+    # on 2 vertices the one pair is the whole xor class, so flipping it leaves an xor-invariant graph
+    rng = random.Random(9)
+    for G in [G for G in _cayley_graphs() if G.n >= 4][::7]:
+        rows = list(G.rows)
+        u, v = rng.sample(range(G.n), 2)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        flipped = LabeledGraph(G.n, tuple(rows))
+        assert xor_row(flipped) is xor_row_by_definition(flipped) is None
+        rows = list(G.rows)
+        rows[u] ^= 1 << u
+        mixed = LabeledGraph(G.n, tuple(rows))
+        assert xor_row(mixed) is xor_row_by_definition(mixed) is None
 
 
 def test_complete_families_match_their_edge_lists():

@@ -275,7 +275,7 @@ def test_sampled_masks_follow_the_adjacency_rows():
     t = 4
     count = 2 * _CHUNK + 5
     pairs = masks.pair_slots(t)
-    chunks = list(_sample_masks(_packed_source(G), t, np.random.default_rng(5), count, pairs))
+    chunks = list(_sample_masks(_packed_source(G, t), t, np.random.default_rng(5), count, pairs))
     assert [len(c) for c in chunks] == [_CHUNK, _CHUNK, 5]
     verts = np.random.default_rng(5).integers(0, G.n, size=(count, t))
     want = [
