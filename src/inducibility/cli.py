@@ -30,7 +30,7 @@ from .catalog import (
 from .dsl import LOADED, denote, loaded_paths, parse_expr, parse_factors, parse_quantum, plan, print_expr
 from .graphs import check_graph6, graph6_decode, graph6_encode
 from .nesting import DegenerateStationaryError
-from .profiles import BudgetError, charge_samples, iso_table, monte_carlo_profile
+from .profiles import BudgetError, charge, charge_samples, iso_table, monte_carlo_profile
 
 _FLAVORS = ("induced", "repetitive", "labeled", "spectral")
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
@@ -164,6 +164,8 @@ def _run_estimate(args) -> dict:
     p = plan(parse_expr(args.expr), args.approx)
     names = iso_table(args.t).type_names()  # refuses an order outside 2..5
     charge_samples(args.samples, budget=args.budget)
+    if p.looped is None:  # sampled from a dense step model of size^2 entries
+        charge(p.size ** 2, "model entries", args.budget)
     est = monte_carlo_profile(denote(p), args.t, args.samples, args.seed, budget=args.budget)
     return _profile_payload(
         "estimate", args.t, names, est.values, args, seed=args.seed, stderr=est.stderr

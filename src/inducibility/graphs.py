@@ -254,20 +254,9 @@ def _complete_multipartite(sizes) -> LabeledGraph:
 
 def _paley(q: int) -> LabeledGraph:
     if q == 9:
-        # GF(9) as GF(3)[x] / (x^2 + 1); element (a, b) is a + b x.
-        elems = [(a, b) for a in range(3) for b in range(3)]
-        idx = {e: i for i, e in enumerate(elems)}
-        squares = set()
-        for a, b in elems[1:]:
-            squares.add(((a * a - b * b) % 3, (2 * a * b) % 3))
-        edges = []
-        for x in elems:
-            for y in elems:
-                if idx[x] < idx[y]:
-                    diff = ((x[0] - y[0]) % 3, (x[1] - y[1]) % 3)
-                    if diff in squares:
-                        edges.append((idx[x], idx[y]))
-        return from_edges(9, edges)
+        # GF(9) = GF(3)[x]/(x^2 + 1) with a + b x at vertex 3a + b: its nonzero squares are
+        # the elements with exactly one zero coordinate, so Paley(9) is the 3x3 rook graph
+        return from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 == v // 3 or u % 3 == v % 3])
     squares = {x * x % q for x in range(1, q)}
     return from_edges(q, [(u, v) for u in range(q) for v in range(u + 1, q) if (u - v) % q in squares])
 

@@ -15,6 +15,7 @@ and which ones each mask of the quotient graph on the parts expands to.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .frozen import frozen
 
@@ -83,27 +84,6 @@ def orbit_index(t: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(index), tuple(orbits)
 
 
-@lru_cache(maxsize=None)
-def set_partitions(t: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All partitions of range(t), parts ordered by smallest element."""
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def grow(prefix: list[int], used: int) -> None:
-        if len(prefix) == t:
-            parts: list[list[int]] = [[] for _ in range(used)]
-            for pos, p in enumerate(prefix):
-                parts[p].append(pos)
-            results.append(tuple(tuple(p) for p in parts))
-            return
-        for p in range(used + 1):
-            prefix.append(p)
-            grow(prefix, used + (1 if p == used else 0))
-            prefix.pop()
-
-    grow([], 0)
-    return tuple(results)
-
-
 @frozen
 class PartitionTable:
     """One vertex partition with its composition tables, the quotient graph
@@ -129,14 +109,16 @@ def _unions(singles) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def partition_tables(t: int) -> tuple[PartitionTable, ...]:
+    """The tables of every partition of range(t), one per restricted growth
+    string part_of (each entry at most one above the largest before it,
+    so part_of[v] is the part of vertex v and parts are numbered by their
+    smallest vertex), in lexicographic order of the strings."""
     out = []
-    for parts in set_partitions(t):
-        ell = len(parts)
-        part_of = [0] * t
-        for p, part in enumerate(parts):
-            for v in part:
-                part_of[v] = p
-        qslot = slot_of(ell) if ell >= 2 else {}
+    for part_of in product(*map(range, range(1, t + 1))):
+        if any(p > max(part_of[:v]) + 1 for v, p in enumerate(part_of) if v):
+            continue
+        ell = len(set(part_of))
+        qslot = slot_of(ell)
         part_masks = [0] * ell
         cross_masks = [0] * slot_count(ell)
         for k, (i, j) in enumerate(pair_slots(t)):
@@ -144,7 +126,6 @@ def partition_tables(t: int) -> tuple[PartitionTable, ...]:
             if p == q:
                 part_masks[p] |= 1 << k
             else:
-                a, b = (p, q) if p < q else (q, p)
-                cross_masks[qslot[(a, b)]] |= 1 << k
+                cross_masks[qslot[min(p, q), max(p, q)]] |= 1 << k
         out.append(PartitionTable(size=ell, loop_slots=_unions(part_masks), cross_slots=_unions(cross_masks)))
     return tuple(out)

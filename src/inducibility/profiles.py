@@ -531,7 +531,7 @@ def repetitive_profile(source, t: int, budget: int | None = None) -> ProfileVect
 def _marginal(values, t: int, ell: int) -> list:
     """Marginal of a labeled t-vector on its first ell vertices: entry m
     sums the values of the masks whose slots among those vertices are m."""
-    index = masks.slot_of(ell) if ell >= 2 else {}
+    index = masks.slot_of(ell)
     kept = [(k, index[(i, j)]) for k, (i, j) in enumerate(masks.pair_slots(t)) if j < ell]
     out = [0] * (1 << masks.slot_count(ell))
     for mask, v in enumerate(values):

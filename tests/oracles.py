@@ -1,16 +1,18 @@
 """Slow reference routes kept as oracles for the fast ones: the Fraction
 enumerator of a step model's labeled repetitive profile, Fraction
 Gauss-Jordan elimination, the bit-by-bit graph routines that the
-block-swap transpose and the translated cayley2 rows replaced, the xor
-row by its definition, the orbit of a decorated graph over all of its
-relabelings, the partition lift expanded bit by bit with the routes over
-it in Fractions, the xor convolution of profiles a pair of masks at a
-time, the dense step model of a construction built node by node, the
-Monte Carlo sampler that drew each batch whole, the subset counter
-that counts the last vertex a class at a time in increasing order,
-exact arithmetic in Q(sqrt 3) with Lagrange interpolation, the canonical
-code of a graph over all of its vertex orders, and stdlib dataclass twins
-of the value classes that `inducibility.frozen` makes.
+block-swap transpose and the translated cayley2 rows replaced, the Paley
+graphs by their quadratic residues, the xor row by its definition, the
+orbit of a decorated graph over all of its relabelings, the set
+partitions from all maps to labels, the partition lift expanded bit by
+bit with the routes over it in Fractions, the xor convolution of
+profiles a pair of masks at a time, the dense step model of a
+construction built node by node, the Monte Carlo sampler that drew each
+batch whole, the subset counter that counts the last vertex a class at a
+time in increasing order, exact arithmetic in Q(sqrt 3) with Lagrange
+interpolation, the canonical code of a graph over all of its vertex
+orders, and stdlib dataclass twins of the value classes that
+`inducibility.frozen` makes.
 They share no arithmetic with the package; the lift routes take their
 pattern counts from its counter, and the sampler reads its packed
 adjacency or slot tables."""
@@ -137,6 +139,27 @@ def cayley2_rows(n: int, weights) -> list:
             row |= 1 << (u ^ g)
         rows.append(row)
     return rows
+
+
+def paley(q: int) -> tuple:
+    """Rows of the quadratic-residue graph of GF(q), u ~ v iff u - v is a
+    nonzero square: GF(9) as GF(3)[x]/(x^2 + 1) with a + b x at vertex
+    3a + b, and every other order as the integers mod q."""
+    if q == 9:
+        elems = [(a, b) for a in range(3) for b in range(3)]
+
+        def minus(x, y):
+            return (x[0] - y[0]) % 3, (x[1] - y[1]) % 3
+
+        squares = {((a * a - b * b) % 3, 2 * a * b % 3) for a, b in elems[1:]}
+    else:
+        elems = list(range(q))
+
+        def minus(x, y):
+            return (x - y) % q
+
+        squares = {x * x % q for x in elems[1:]}
+    return tuple(sum(1 << v for v, y in enumerate(elems) if minus(x, y) in squares) for x in elems)
 
 
 def xor_row(G):
@@ -277,7 +300,7 @@ def _partition_slots(t: int, parts) -> tuple:
     """Per part, the t-vertex slots inside it; per quotient slot, the
     t-vertex slots it expands to."""
     part_of = {v: p for p, part in enumerate(parts) for v in part}
-    qslot = masks.slot_of(len(parts)) if len(parts) >= 2 else {}
+    qslot = masks.slot_of(len(parts))
     within = [0] * len(parts)
     cross = [0] * masks.slot_count(len(parts))
     for k, (i, j) in enumerate(masks.pair_slots(t)):
@@ -289,11 +312,24 @@ def _partition_slots(t: int, parts) -> tuple:
     return within, cross
 
 
+@functools.lru_cache(maxsize=None)
+def set_partitions(t: int) -> tuple:
+    """All partitions of range(t) as tuples of parts, parts numbered by
+    their smallest vertex: each of the t^t maps from vertices to labels
+    relabeled by first occurrence, deduplicated and sorted, which is the
+    order of masks.partition_tables."""
+    strings = set()
+    for labels in itertools.product(range(t), repeat=t):
+        first: dict = {}
+        strings.add(tuple(first.setdefault(x, len(first)) for x in labels))
+    return tuple(tuple(tuple(v for v in range(t) if s[v] == p) for p in range(len(set(s)))) for s in sorted(strings))
+
+
 def partition_lift(t: int, ordered: dict, inner=None) -> list:
     """The partition lift of profiles.partition_lift, each quotient mask
     and loop set expanded one bit at a time, in the same order of terms."""
     out = [0] * (1 << masks.slot_count(t))
-    for parts in masks.set_partitions(t):
+    for parts in set_partitions(t):
         counts = ordered.get(len(parts))
         if not counts:
             continue

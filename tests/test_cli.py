@@ -145,6 +145,9 @@ def test_convert_anchors(capsys):
     assert payload["n"] == 2 and payload["edges"] == [[0, 1]]
     encoded = _run_json(capsys, ["convert", "--encode", "K1"])
     assert encoded["graph6"] == "@"
+    # Paley(9) is K3 x K3 on the same labels
+    for expr in ("paley(9)", "tensor(K3, K3)"):
+        assert _run_json(capsys, ["convert", "--encode", expr])["graph6"] == "H{S{aSf"
     code, out, err = _run(capsys, ["convert", "--graph6", "A_", "--encode", "K2"])
     assert code == 2
 
@@ -366,6 +369,11 @@ def test_estimate_and_convert_check_before_building(capsys, monkeypatch):
         # and so is a lifted union
         (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "union(K40000:1, K40000:1)"],
          f"{capped.replace('90000', '80000')} (at column 1)"),
+        # a graph that stands for its step model is charged the model's size^2 entries
+        (["estimate", "--t", "3", "--samples", "10", "--seed", "1", "union(K40000:1)"],
+         "1600000000 model entries exceed the budget of 1000000000"),
+        (["estimate", "--t", "3", "--samples", "10", "--budget", "10", "--seed", "1",
+          "union(K20000:1, bernoulli(1/2):1)"], "400040001 model entries exceed the budget of 10"),
     ):
         start = time.perf_counter()
         assert _run(capsys, argv) == (2, "", f"error: {message}\n"), argv

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inducibility.graphs import (
+    PALEY_ORDERS,
     LabeledGraph,
     blow_up,
     build_named,
@@ -24,7 +25,7 @@ from inducibility.graphs import (
     mask_of_vertices,
     tensor,
 )
-from oracles import canonical_by_orders
+from oracles import canonical_by_orders, paley
 
 
 def _random_graph(rng: random.Random, n: int) -> LabeledGraph:
@@ -164,6 +165,12 @@ def test_paley_requires_prime_power_1_mod_4():
     # x -> 2x is an isomorphism onto the complement: 2 is a nonsquare mod 13
     doubled = _relabel(P13, [(2 * v) % 13 for v in range(13)])
     assert doubled.edges() == complement(P13).edges()
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS)
+def test_paley_labels_are_the_quadratic_residue_graph(q):
+    # the labels, not only the isomorphism class: convert --encode prints them
+    assert build_named("paley", [q]).rows == paley(q)
 
 
 def test_canonical_form_is_isomorphism_invariant():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from inducibility.graphs import from_edges
-from inducibility.masks import pair_slots, slot_count
+from inducibility.masks import pair_slots, partition_tables, slot_count
 from inducibility.models import StepModel, from_graph
 from inducibility.nesting import compose_profile, transition_matrix
 from inducibility.profiles import (
@@ -140,6 +140,17 @@ def test_lift_of_any_induced_distribution_matches_graph_route(t, data):
     P = ProfileVector(t=t, flavor="induced", values=tuple(Fraction(w, sum(weights)) for w in weights))
     s = data.draw(st.integers(t, 60))
     assert repetitive_from_induced(P, s, t) == oracles.repetitive_from_induced(P, s, t)
+
+
+def test_partition_tables_follow_the_set_partitions_in_order():
+    assert [len(oracles.set_partitions(t)) for t in range(7)] == [1, 1, 2, 5, 15, 52, 203]  # Bell numbers
+    for t in range(1, 7):
+        assert len(partition_tables(t)) == len(oracles.set_partitions(t))
+        for table, parts in zip(partition_tables(t), oracles.set_partitions(t)):
+            within, cross = oracles._partition_slots(t, parts)
+            assert table.size == len(parts)
+            assert table.cross_slots == tuple(oracles._expand(q, cross) for q in range(1 << len(cross)))
+            assert table.loop_slots == tuple(oracles._expand(b, within) for b in range(1 << len(parts)))
 
 
 @settings(max_examples=60)
