@@ -122,6 +122,9 @@ class CatalogRow:
         idx = iso_table(self.t).type_of_graph(from_edges(self.t, self.target_edges))
         return QuantumGraph.from_pairs(self.t, [(idx, 1)])
 
+    def describe_target(self) -> str:
+        return self.target or "edges " + str(list(self.target_edges))
+
     def describe(self) -> str:
         if self.mode == "product":
             text = f"tensor limit of [{self.factors}]"
@@ -280,103 +283,68 @@ def reproduce_table(which: str, budget: int | None = None) -> list:
     return [run_row(row, budget) for row in catalog_rows(which)]
 
 
-def _model_row(row_id, t, target, construction, expected, approx=False, edges=None, mode="model"):
-    return CatalogRow(
-        row_id=row_id,
-        t=t,
-        mode=mode,
-        target=target if edges is None else "",
-        target_edges=tuple(edges) if edges is not None else (),
-        construction=construction,
-        expected=expected,
-        approx=approx,
-    )
-
-
-def _nested_row(row_id, t, target, construction, expected, edges=None):
-    return _model_row(row_id, t, target, construction, expected, edges=edges, mode="nested")
-
-
-def _product_row(row_id, t, target, factors, expected, nested_factor=""):
-    return CatalogRow(
-        row_id=row_id,
-        t=t,
-        mode="product",
-        target=target,
-        factors=factors,
-        nested_factor=nested_factor,
-        expected=expected,
-    )
-
-
 _EXOO4_ROWS = (
-    _model_row("exoo4-01", 4, "K4", "loopK1", "1"),
-    _model_row("exoo4-02", 4, "A4", "A1", "1"),
-    _model_row("exoo4-03", 4, "S4", "K2", "1/2"),
-    _model_row("exoo4-04", 4, "T4", "complement(K2)", "1/2"),
-    _model_row("exoo4-05", 4, "C4", "K2", "3/8"),
-    _model_row("exoo4-06", 4, "M4", "complement(K2)", "3/8"),
-    _model_row("exoo4-07", 4, "V4", "union(K2:1, K2:1)", "3/8"),
-    _model_row("exoo4-08", 4, "Q4", "complement(union(K2:1, K2:1))", "3/8"),
-    _model_row("exoo4-09", 4, "D4", "K5", "72/125"),
-    _model_row("exoo4-10", 4, "E4", "complement(K5)", "72/125"),
+    CatalogRow("exoo4-01", 4, "model", "1", "K4", construction="loopK1"),
+    CatalogRow("exoo4-02", 4, "model", "1", "A4", construction="A1"),
+    CatalogRow("exoo4-03", 4, "model", "1/2", "S4", construction="K2"),
+    CatalogRow("exoo4-04", 4, "model", "1/2", "T4", construction="complement(K2)"),
+    CatalogRow("exoo4-05", 4, "model", "3/8", "C4", construction="K2"),
+    CatalogRow("exoo4-06", 4, "model", "3/8", "M4", construction="complement(K2)"),
+    CatalogRow("exoo4-07", 4, "model", "3/8", "V4", construction="union(K2:1, K2:1)"),
+    CatalogRow("exoo4-08", 4, "model", "3/8", "Q4", construction="complement(union(K2:1, K2:1))"),
+    CatalogRow("exoo4-09", 4, "model", "72/125", "D4", construction="K5"),
+    CatalogRow("exoo4-10", 4, "model", "72/125", "E4", construction="complement(K5)"),
 )
 
 _HEADLINE_ROWS = (
-    _product_row("headline-01", 4, "K4+A4", "M4, K4, tensor(K3, K3)", "11411/373248"),
-    _product_row("headline-02", 4, "K4+A4", "M4, K4, compose(tensor(K3, K3), K2)", "3769/124416"),
-    _product_row("headline-03", 4, "K4+A4", "M4, K4", "1411/46592", nested_factor="tensor(K3, K3)"),
-    _product_row("headline-04", 4, "P4", "K4", "1173/5824", nested_factor="tensor(K3, K3)"),
-    _nested_row("headline-05", 4, "P4", "C5", "6/31"),
-    _nested_row("headline-06", 4, "P4", "paley(17)", "60/307"),
-    _nested_row("headline-07", 5, "C5", "C5", "1/26"),
+    CatalogRow("headline-01", 4, "product", "11411/373248", "K4+A4", factors="M4, K4, tensor(K3, K3)"),
+    CatalogRow("headline-02", 4, "product", "3769/124416", "K4+A4", factors="M4, K4, compose(tensor(K3, K3), K2)"),
+    CatalogRow("headline-03", 4, "product", "1411/46592", "K4+A4", factors="M4, K4", nested_factor="tensor(K3, K3)"),
+    CatalogRow("headline-04", 4, "product", "1173/5824", "P4", factors="K4", nested_factor="tensor(K3, K3)"),
+    CatalogRow("headline-05", 4, "nested", "6/31", "P4", construction="C5"),
+    CatalogRow("headline-06", 4, "nested", "60/307", "P4", construction="paley(17)"),
+    CatalogRow("headline-07", 5, "nested", "1/26", "C5", construction="C5"),
 )
 
 _EIGHT_BLOCKS = ", ".join(["loopK1:1"] * 8)
 _TWO_BIPARTITE_C = "complement(union(K2:1, K2:1))"
 
 _APPENDIX5_ROWS = (
-    _model_row("appendix5-01", 5, "A5", "A1", "1"),
-    _model_row("appendix5-02", 5, None, "union(loopK1:1, loopK1:1)", "5/8",
-               edges=[(1, 2), (1, 3), (2, 3), (0, 4)]),
-    _model_row("appendix5-03", 5, None, "union(loopK1:1, loopK1:1, loopK1:1)", "10/27",
-               edges=[(1, 4), (0, 3)]),
-    _model_row("appendix5-04", 5, None, f"union({_EIGHT_BLOCKS})", "0.5126953125",
-               edges=[(0, 4)]),
-    _model_row("appendix5-05", 5, None, "union(K3:1, K3:1)", "5/18",
-               edges=[(0, 4), (1, 2), (2, 3)]),
-    _model_row("appendix5-06", 5, None, "C5", "24/125",
-               edges=[(4, 0), (0, 1), (1, 3), (1, 2)]),
-    _model_row("appendix5-07", 5, None, "union(loopK1:3, A1:2)", "216/625",
-               edges=[(0, 4), (0, 2), (4, 2)]),
-    _model_row("appendix5-08", 5, None, "union(K2:1, K2:2, K2:2)", "0.2784",
-               edges=[(2, 4), (2, 0)]),
-    _model_row("appendix5-09", 5, None, f"union(loopK1:1, loopK1:{ALPHA_TEXT})", "5/12",
-               approx=True,
-               edges=[(0, 1), (0, 4), (1, 4), (0, 3), (1, 3), (4, 3)]),
-    _model_row("appendix5-10", 5, None, f"union(K2:1, K2:{ALPHA_TEXT})", "5/24",
-               approx=True,
-               edges=[(1, 2), (0, 2), (2, 4)]),
-    _model_row("appendix5-11", 5, None, f"union(K2:1, K2:{ALPHA_TEXT})", "5/32",
-               approx=True,
-               edges=[(4, 1), (1, 3), (0, 3), (4, 0)]),
-    _model_row("appendix5-12", 5, None,
-               f"union({_TWO_BIPARTITE_C}:1, {_TWO_BIPARTITE_C}:{ALPHA_TEXT})", "0.15625",
-               approx=True,
-               edges=[(0, 4), (0, 2), (4, 2), (0, 3)]),
-    _model_row("appendix5-13", 5, None, f"union(K5:1, K5:{ALPHA_TEXT})", "0.24",
-               approx=True,
-               edges=[(0, 1), (1, 4), (0, 3), (1, 3), (4, 3)]),
-    _nested_row("appendix5-14", 5, None, "C5", "1/26",
-                edges=[(1, 2), (4, 3), (2, 3), (0, 4), (1, 0)]),
-    _model_row("appendix5-15", 5, None, "bipartite(5/6)", "15625/62208",
-               edges=[(0, 1), (1, 3), (3, 4), (4, 0), (1, 2)]),
-    _model_row("appendix5-16", 5, None, "bernoulli(3/10)", "0.133413966",
-               edges=[(1, 4), (0, 3), (1, 3)]),
-    _nested_row("appendix5-17", 5, None, "tensor(K3, K3, K2)", "1968/20995",
-                edges=[(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)]),
-    _nested_row("appendix5-18", 5, None, "tensor(K3, K3)", "813/11111",
-                edges=[(3, 1), (3, 2), (1, 2), (1, 0), (3, 4)]),
+    CatalogRow("appendix5-01", 5, "model", "1", "A5", construction="A1"),
+    CatalogRow("appendix5-02", 5, "model", "5/8", target_edges=((1, 2), (1, 3), (2, 3), (0, 4)),
+               construction="union(loopK1:1, loopK1:1)"),
+    CatalogRow("appendix5-03", 5, "model", "10/27", target_edges=((1, 4), (0, 3)),
+               construction="union(loopK1:1, loopK1:1, loopK1:1)"),
+    CatalogRow("appendix5-04", 5, "model", "0.5126953125", target_edges=((0, 4),),
+               construction=f"union({_EIGHT_BLOCKS})"),
+    CatalogRow("appendix5-05", 5, "model", "5/18", target_edges=((0, 4), (1, 2), (2, 3)),
+               construction="union(K3:1, K3:1)"),
+    CatalogRow("appendix5-06", 5, "model", "24/125", target_edges=((4, 0), (0, 1), (1, 3), (1, 2)),
+               construction="C5"),
+    CatalogRow("appendix5-07", 5, "model", "216/625", target_edges=((0, 4), (0, 2), (4, 2)),
+               construction="union(loopK1:3, A1:2)"),
+    CatalogRow("appendix5-08", 5, "model", "0.2784", target_edges=((2, 4), (2, 0)),
+               construction="union(K2:1, K2:2, K2:2)"),
+    CatalogRow("appendix5-09", 5, "model", "5/12", target_edges=((0, 1), (0, 4), (1, 4), (0, 3), (1, 3), (4, 3)),
+               construction=f"union(loopK1:1, loopK1:{ALPHA_TEXT})", approx=True),
+    CatalogRow("appendix5-10", 5, "model", "5/24", target_edges=((1, 2), (0, 2), (2, 4)),
+               construction=f"union(K2:1, K2:{ALPHA_TEXT})", approx=True),
+    CatalogRow("appendix5-11", 5, "model", "5/32", target_edges=((4, 1), (1, 3), (0, 3), (4, 0)),
+               construction=f"union(K2:1, K2:{ALPHA_TEXT})", approx=True),
+    CatalogRow("appendix5-12", 5, "model", "0.15625", target_edges=((0, 4), (0, 2), (4, 2), (0, 3)),
+               construction=f"union({_TWO_BIPARTITE_C}:1, {_TWO_BIPARTITE_C}:{ALPHA_TEXT})", approx=True),
+    CatalogRow("appendix5-13", 5, "model", "0.24", target_edges=((0, 1), (1, 4), (0, 3), (1, 3), (4, 3)),
+               construction=f"union(K5:1, K5:{ALPHA_TEXT})", approx=True),
+    CatalogRow("appendix5-14", 5, "nested", "1/26", target_edges=((1, 2), (4, 3), (2, 3), (0, 4), (1, 0)),
+               construction="C5"),
+    CatalogRow("appendix5-15", 5, "model", "15625/62208", target_edges=((0, 1), (1, 3), (3, 4), (4, 0), (1, 2)),
+               construction="bipartite(5/6)"),
+    CatalogRow("appendix5-16", 5, "model", "0.133413966", target_edges=((1, 4), (0, 3), (1, 3)),
+               construction="bernoulli(3/10)"),
+    CatalogRow("appendix5-17", 5, "nested", "1968/20995", target_edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)),
+               construction="tensor(K3, K3, K2)"),
+    CatalogRow("appendix5-18", 5, "nested", "813/11111", target_edges=((3, 1), (3, 2), (1, 2), (1, 0), (3, 4)),
+               construction="tensor(K3, K3)"),
 )
 
 _ROWS = {

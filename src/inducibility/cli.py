@@ -184,7 +184,7 @@ def _run_tables(args) -> dict:
         {
             "row": r.row_id,
             "t": r.row.t,
-            "target": r.row.target or "edges " + str(list(r.row.target_edges)),
+            "target": r.row.describe_target(),
             "construction": r.row.describe(),
             "expected": r.row.expected,
             "computed": r.computed

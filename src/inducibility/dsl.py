@@ -76,7 +76,7 @@ class Node:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-    r'|(?P<str>"[^"]*")|(?P<sym>[(),:;/]))'
+    r'|(?P<str>"[^"]*")|(?P<sym>[(),:;/+*-]))'
 )
 
 
@@ -141,6 +141,20 @@ class _Parser:
         if "." in tok[1]:
             raise ExprError("expected an integer", tok[2])
         return int(tok[1])
+
+    def parse_term(self, sign: int = 1) -> tuple:
+        """A quantum target's term := ['-'] [number '*'] name, as (name, sign * coefficient)."""
+        if self.at_symbol("-"):
+            self.next()
+            sign = -sign
+        coeff = Fraction(1)
+        if self.peek()[0] == "num":
+            coeff = self.parse_number()
+            self.expect("sym", "*")
+        tok = self.next()
+        if tok[0] != "ident":
+            raise ExprError(f"expected a type name, found {tok[1]!r}", tok[2])
+        return tok[1], sign * coeff
 
     def parse_expr(self):
         tok = self.peek()
@@ -354,29 +368,16 @@ def evaluate(node, approx: bool = False):
     return denote(plan(node, approx))
 
 
-_QTERM_RE = re.compile(r"^\s*(?:([0-9]+(?:/[0-9]*[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z][A-Za-z0-9_]*)\s*$")
-
-
 def parse_quantum(text: str, t: int | None = None) -> QuantumGraph:
     """Parse a rational combination of type names, e.g. "K4+A4" or
-    "1/2*C4 + 1/2*M4"; the order is inferred when not given."""
-    raw = text.replace("-", "+-")
-    terms = []
-    for chunk in raw.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        m = _QTERM_RE.match(chunk)
-        if m is None:
-            raise ExprError(f"bad quantum term {chunk!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        terms.append((m.group(2), sign * coeff))
-    if not terms:
-        raise ExprError("empty quantum expression")
+    "1/2*C4 - 2*M4": target := term (('+' | '-') term)*, read with the
+    tokens and numbers of constructions.  The order is inferred when not
+    given."""
+    parser = _Parser(text)
+    terms = [parser.parse_term()]
+    while parser.at_symbol("+") or parser.at_symbol("-"):
+        terms.append(parser.parse_term(-1 if parser.next()[1] == "-" else 1))
+    parser.expect("end")
     if t is None:
         candidates = [
             order

@@ -485,11 +485,20 @@ def test_a_tensor_base_past_the_subset_budget_answers():
 
 def test_expression_errors_read_plainly(capsys):
     # an unknown type name and a zero denominator are expression errors,
-    # not the str of a KeyError or a ZeroDivisionError
+    # not the str of a KeyError or a ZeroDivisionError; a malformed target
+    # is refused at a column, as a malformed construction is
+    target = ["density", "--t", "4", "--quantum"]
     for argv, message in (
         (["density", "--t", "4", "--quantum", "K3", "C5"], "unknown type name 'K3' at order 4"),
         (["profile", "--t", "3", "union(K2:1/0)"], "zero denominator (at column 12)"),
-        (["density", "--t", "3", "--quantum", "1/0*K3", "C5"], "bad quantum term '1/0*K3'"),
+        (["density", "--t", "3", "--quantum", "1/0*K3", "C5"], "zero denominator (at column 3)"),
+        ([*target, "K4+", "C5"], "expected a type name, found '' (at column 4)"),
+        ([*target, "+K4", "C5"], "expected a type name, found '+' (at column 1)"),
+        ([*target, "K4++A4", "C5"], "expected a type name, found '+' (at column 4)"),
+        ([*target, "K4 + A4 +", "C5"], "expected a type name, found '' (at column 10)"),
+        ([*target, "K4*2", "C5"], "expected 'end', found '*' (at column 3)"),
+        ([*target, "2 K4", "C5"], "expected '*', found 'K4' (at column 3)"),
+        ([*target, "K4 A4", "C5"], "expected 'end', found 'A4' (at column 4)"),
         (["estimate", "--t", "3", "--samples", "0", "--seed", "1", "C5"], "need at least one sample"),
         (["profile", "--t", "3", "Q9"], "unknown construction 'Q9' (at column 1)"),
         (["profile", "--t", "3", "blowup(K2, 0)"], "blowup count must be positive (at column 1)"),

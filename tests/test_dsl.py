@@ -30,7 +30,7 @@ from inducibility.graphs import (
     graph6_encode,
 )
 from inducibility.models import StepModel
-from inducibility.profiles import iso_table
+from inducibility.profiles import QuantumGraph, iso_table
 
 
 ROUND_TRIP_CASES = [
@@ -358,6 +358,26 @@ def test_parse_quantum_inference_and_errors():
         parse_quantum("")
     # C5 alone resolves only at order five
     assert parse_quantum("C5").t == 5
+    # a term may carry a sign, and coefficients are the numbers of constructions
+    assert parse_quantum("K4 - - A4") == parse_quantum("K4 + A4")
+    assert parse_quantum("P4 + -1*K4") == minus
+    assert parse_quantum("0.5*K4 + 3/2*A4") == parse_quantum("1/2*K4 + 1.5*A4")
+
+
+def _named_targets(t):
+    """Quantum graphs at order t over the type names that the term syntax reads."""
+    names = [e.name for e in iso_table(t).entries if re.fullmatch(r"[A-Za-z]\w*", e.name)]
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+    pairs = st.dictionaries(st.sampled_from(names), coefficients, min_size=1, max_size=4)
+    return pairs.map(lambda terms: QuantumGraph.from_pairs(t, terms.items()))
+
+
+@given(st.integers(2, 5).flatmap(_named_targets))
+def test_quantum_targets_parse_back_from_their_description(Q):
+    # describe() writes a negative coefficient as "+ -c*name", which the
+    # signed term of the grammar reads back
+    assert parse_quantum(Q.describe(), Q.t) == Q
+    assert parse_quantum(Q.describe()) == Q
 
 
 def test_every_type_name_belongs_to_one_order():
